@@ -147,14 +147,7 @@ inline ModeResults run_all_modes(fl::Simulation& sim, const defense::DefenseConf
   // Side branch: AW without fine-tuning.
   {
     auto branch = model.clone();
-    defense::AdjustConfig acfg = dcfg.adjust;
-    acfg.min_accuracy =
-        std::min(fl::evaluate_accuracy(branch.net, server.validation_set()), baseline) -
-        dcfg.aw_acc_drop;
-    auto layers = dcfg.aw_include_fc
-                      ? defense::default_adjust_layers(branch.net, branch.last_conv_index)
-                      : std::vector<int>{branch.last_conv_index};
-    auto adjust = defense::adjust_extreme_weights(branch.net, layers, acfg, [&] {
+    auto adjust = defense::adjust_weights_stage(branch, dcfg, baseline, [&] {
       return fl::evaluate_accuracy(branch.net, server.validation_set());
     });
     out.weights_zeroed_fpaw = adjust.weights_zeroed;
@@ -164,17 +157,9 @@ inline ModeResults run_all_modes(fl::Simulation& sim, const defense::DefenseConf
 
   // Live branch: fine-tune, then AW ("All" mode).
   defense::federated_finetune(sim, dcfg.finetune);
-  {
-    defense::AdjustConfig acfg = dcfg.adjust;
-    acfg.min_accuracy =
-        std::min(server.validation_accuracy(), baseline) - dcfg.aw_acc_drop;
-    auto layers = dcfg.aw_include_fc
-                      ? defense::default_adjust_layers(model.net, model.last_conv_index)
-                      : std::vector<int>{model.last_conv_index};
-    auto adjust = defense::adjust_extreme_weights(
-        model.net, layers, acfg, [&] { return server.validation_accuracy(); });
-    out.weights_zeroed_all = adjust.weights_zeroed;
-  }
+  auto adjust = defense::adjust_weights_stage(model, dcfg, baseline,
+                                              [&] { return server.validation_accuracy(); });
+  out.weights_zeroed_all = adjust.weights_zeroed;
   out.all = {sim.test_accuracy(), sim.attack_success()};
   return out;
 }

@@ -8,7 +8,7 @@
 // (TA) and attack success rate (AA) after every stage.
 //
 // Usage: quickstart [seed] [--clients N] [--select K]
-//                   [--scan-quant f32|f16|int8] [--update-codec f32|int8]
+//                   [--scan-quant f32|int8] [--update-codec f32|int8]
 //                   [--journal-out run.jsonl] [--trace-out trace.json]
 //                   [--checkpoint-dir DIR] [--checkpoint-every N] [--resume]
 //                   [--save model.fckp]
@@ -31,8 +31,8 @@
 // and rerun with --resume added to continue from the newest snapshot — the
 // final model is byte-identical to the uninterrupted run.
 //
-// --scan-quant runs the defense's activation-profiling scans under a
-// reduced-precision GEMM kernel (training math stays fp32). --update-codec
+// --scan-quant int8 runs the defense's activation-profiling scans under the
+// int8 GEMM kernel (training math stays fp32). --update-codec
 // int8 quantizes client→server update payloads on the wire (~4x smaller
 // uplink); the server dequantizes before aggregation. EXPERIMENTS.md records
 // the measured TA/AA deltas for both knobs.
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--scan-quant") == 0 && i + 1 < argc) {
       const auto kernel = tensor::parse_compute_kernel(argv[++i]);
       if (!kernel) {
-        std::fprintf(stderr, "unknown scan kernel %s (want f32|f16|int8)\n", argv[i]);
+        std::fprintf(stderr, "unknown scan kernel %s (want f32|int8)\n", argv[i]);
         return 2;
       }
       scan_kernel = *kernel;

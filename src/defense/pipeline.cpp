@@ -191,6 +191,20 @@ std::vector<int> federated_pruning_order(fl::Simulation& sim, const DefenseConfi
   return agg.pruning_order();
 }
 
+AdjustOutcome adjust_weights_stage(nn::ModelSpec& model, const DefenseConfig& config,
+                                   double baseline,
+                                   const std::function<double()>& accuracy_eval) {
+  AdjustConfig adjust = config.adjust;
+  // The floor is anchored to the pre-defense baseline, not the post-FT
+  // accuracy: fine-tuning buys headroom that AW is allowed to spend (the
+  // paper's §IV-B/V-E trade-off).
+  adjust.min_accuracy = std::min(accuracy_eval(), baseline) - config.aw_acc_drop;
+  const auto layers = config.aw_include_fc
+                          ? default_adjust_layers(model.net, model.last_conv_index)
+                          : std::vector<int>{model.last_conv_index};
+  return adjust_extreme_weights(model.net, layers, adjust, accuracy_eval);
+}
+
 DefenseReport run_defense(fl::Simulation& sim, const DefenseConfig& config,
                           fl::CheckpointManager* checkpoint,
                           const fl::RunSnapshot* resume) {
@@ -222,13 +236,8 @@ DefenseReport run_defense(fl::Simulation& sim, const DefenseConfig& config,
     {
       obs::Span span("defense.pruning", "defense", &report.phase_seconds["pruning"]);
       auto order = federated_pruning_order(sim, config, &report.fp_exchange);
-      auto& accuracy_eval = accuracy_oracle;
-      std::function<double()> asr_eval;
-      if (config.record_asr_traces) {
-        asr_eval = [&sim] { return sim.attack_success(); };
-      }
-      report.prune = prune_until(model.net, model.last_conv_index, order, accuracy_eval,
-                                 progress.baseline - config.prune_acc_drop, asr_eval);
+      report.prune = prune_until(model.net, model.last_conv_index, order, accuracy_oracle,
+                                 progress.baseline - config.prune_acc_drop);
       report.neurons_pruned = report.prune.n_pruned;
     }
     report.after_fp = snapshot(sim);
@@ -265,21 +274,8 @@ DefenseReport run_defense(fl::Simulation& sim, const DefenseConfig& config,
   if (config.enable_adjust_weights) {
     obs::Span span("defense.adjust_weights", "defense",
                    &report.phase_seconds["adjust-weights"]);
-    auto accuracy_eval = [&server] { return server.validation_accuracy(); };
-    std::function<double()> asr_eval;
-    if (config.record_asr_traces) {
-      asr_eval = [&sim] { return sim.attack_success(); };
-    }
-    AdjustConfig adjust = config.adjust;
-    // The floor is anchored to the pre-defense baseline, not the post-FT
-    // accuracy: fine-tuning buys headroom that AW is allowed to spend (the
-    // paper's §IV-B/V-E trade-off).
-    adjust.min_accuracy = std::min(accuracy_eval(), baseline) - config.aw_acc_drop;
-    const auto layers = config.aw_include_fc
-                            ? default_adjust_layers(model.net, model.last_conv_index)
-                            : std::vector<int>{model.last_conv_index};
-    report.adjust =
-        adjust_extreme_weights(model.net, layers, adjust, accuracy_eval, asr_eval);
+    report.adjust = adjust_weights_stage(model, config, baseline,
+                                         [&server] { return server.validation_accuracy(); });
     report.weights_zeroed = report.adjust.weights_zeroed;
   }
   report.after_aw = snapshot(sim);

@@ -41,8 +41,6 @@ struct DefenseConfig {
   // adjust_weights.h for the rationale; false reproduces the paper's literal
   // single-layer rule).
   bool aw_include_fc = true;
-  // Record ASR traces inside prune/adjust sweeps (reporting only; slower).
-  bool record_asr_traces = false;
 };
 
 struct StageMetrics {
@@ -103,6 +101,16 @@ DefenseProgress decode_defense_progress(const std::vector<std::uint8_t>& bytes);
 DefenseReport run_defense(fl::Simulation& sim, const DefenseConfig& config,
                           fl::CheckpointManager* checkpoint = nullptr,
                           const fl::RunSnapshot* resume = nullptr);
+
+// The Adjusting-Extreme-Weights stage's policy, shared by run_defense and the
+// benches' side branches: the accuracy floor is
+// min(accuracy_eval(), baseline) − aw_acc_drop — anchored to the pre-defense
+// baseline, so headroom fine-tuning bought may be spent — and the swept
+// layers are default_adjust_layers (aw_include_fc) or the last conv layer
+// alone. accuracy_eval is called once for the floor, then by the sweep.
+AdjustOutcome adjust_weights_stage(nn::ModelSpec& model, const DefenseConfig& config,
+                                   double baseline,
+                                   const std::function<double()>& accuracy_eval);
 
 // Just the federated-pruning stage (used by Table V / Fig 5): returns the
 // pruning order chosen by the configured method without applying it.

@@ -71,8 +71,6 @@ Simulation::Simulation(SimulationConfig config, comm::Network* remote_net)
                "virtual clients need 0 < clients_per_round < n_clients");
     FC_REQUIRE(config_.defense_clients > 0,
                "virtual clients need a positive defense_clients committee");
-    FC_REQUIRE(config_.max_resident_clients >= 0,
-               "max_resident_clients must be non-negative");
   }
 
   // --- data ------------------------------------------------------------------
@@ -205,19 +203,15 @@ Client& Simulation::client(int id) {
 }
 
 std::size_t Simulation::resident_capacity(std::size_t needed) const {
-  std::size_t cap = static_cast<std::size_t>(config_.max_resident_clients);
-  if (config_.max_resident_clients <= 0) {
-    // Room for two cohorts (the protocol may touch last round's stragglers
-    // while this round's cohort trains) and the defense committee.
-    const std::size_t cohort =
-        config_.clients_per_round > 0
-            ? 2 * static_cast<std::size_t>(config_.clients_per_round)
-            : 0;
-    const std::size_t committee =
-        static_cast<std::size_t>(std::min(config_.defense_clients, config_.n_clients));
-    cap = std::max({std::size_t{2}, cohort, committee});
-  }
-  return std::max(cap, needed);
+  // Room for two cohorts (the protocol may touch last round's stragglers
+  // while this round's cohort trains) and the defense committee. The
+  // per-round memory bound is O(model · capacity), independent of n_clients.
+  const std::size_t cohort =
+      config_.clients_per_round > 0 ? 2 * static_cast<std::size_t>(config_.clients_per_round)
+                                    : 0;
+  const std::size_t committee =
+      static_cast<std::size_t>(std::min(config_.defense_clients, config_.n_clients));
+  return std::max({std::size_t{2}, cohort, committee, needed});
 }
 
 void Simulation::evict(int id) {
@@ -374,24 +368,6 @@ std::vector<int> Simulation::run_round(std::uint32_t round,
   auto collect = [&](const std::vector<int>& ids, CollectStats* cs) {
     return server_->collect_updates(ids, round, cs);
   };
-  if (config_.buffered_aggregation) {
-    // Legacy buffer-everything reference path (kept for the streaming
-    // equivalence tests): O(cohort · model) memory.
-    auto ex = exchange_with_retries<std::vector<float>>(*this, participants, request,
-                                                        collect, "training round");
-    last_round_stats_ = ex.stats;
-    if (ex.stats.quorum_met) {
-      server_->apply_aggregate(ex.clients, ex.values);
-    } else {
-      // Degraded round: too few valid updates to trust an aggregate. Keep the
-      // current global model and move on — training rounds are skippable.
-      FC_LOG(Warn) << "round " << round << ": aggregation skipped ("
-                   << ex.stats.n_valid << "/" << participants.size()
-                   << " valid updates)";
-    }
-    return participants;
-  }
-
   StreamingAggregator agg(
       StreamingAggregator::mode_for(config_.server.aggregator, config_.server.use_reputation),
       participants.size());

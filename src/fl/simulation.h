@@ -87,18 +87,10 @@ struct SimulationConfig {
   ProtocolConfig protocol;
   // Client storage engine; see ClientResidency.
   ClientResidency residency = ClientResidency::kAuto;
-  // Virtual mode: resident-slab capacity (0 = derived from the cohort and
-  // defense committee sizes). The per-round memory bound is
-  // O(model · max_resident_clients), independent of n_clients.
-  int max_resident_clients = 0;
   // Virtual mode: size of the deterministic strided committee that stands in
   // for "all clients" in the defense protocol (pruning reports, mask
   // broadcast, accuracy oracle). Materialized mode always uses all clients.
   int defense_clients = 64;
-  // Aggregate round updates through the legacy buffer-everything path
-  // instead of fl::StreamingAggregator. The two are bit-identical (tested);
-  // the buffered path survives only as the equivalence-test reference.
-  bool buffered_aggregation = false;
   std::uint64_t seed = 42;
   // Worker threads for the per-client round work and the batch-parallel
   // tensor kernels. 0 = hardware concurrency; the FEDCLEANSE_THREADS
@@ -116,6 +108,8 @@ struct ExchangeStats {
   int n_corrupted = 0;  // malformed/stale/mistyped messages skipped along the way
   int n_retried = 0;    // request retransmissions issued
   bool quorum_met = true;
+
+  bool operator==(const ExchangeStats&) const = default;
 };
 
 struct RoundRecord {

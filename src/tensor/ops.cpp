@@ -146,39 +146,17 @@ Tensor conv2d_forward_quant(const Tensor& input, const Tensor& weight, const Ten
   auto ov = out.data();
   const GemmEpilogue epi{bs.data(), nullptr, fuse_relu};
 
-  // Weights quantize/convert once per call and are shared read-only by every
-  // sample; the quantized GEMMs are serial, so the batch loop provides the
-  // parallelism (disjoint outputs, deterministic per-sample float sequences).
-  if (kernel == ComputeKernel::kInt8) {
-    const PackedInt8A pa = pack_a_int8(wt.data(), d.kdim, d.cout, d.kdim,
-                                       /*per_channel=*/true);
-    common::ambient_parallel_for(static_cast<std::size_t>(d.n), [&](std::size_t sample) {
-      const int b = static_cast<int>(sample);
-      float* col = &col_cache[static_cast<std::size_t>(b) * d.kdim * d.pdim];
-      im2col(&in[static_cast<std::size_t>(b) * d.cin * d.h * d.w], d.cin, d.h, d.w, d.kh,
-             d.kw, spec, d.ho, d.wo, col);
-      gemm_s8(pa, d.pdim, col, d.pdim, &ov[static_cast<std::size_t>(b) * d.cout * d.pdim],
-              d.pdim, /*accumulate=*/false, epi);
-    });
-    return out;
-  }
-
-  std::vector<std::uint16_t> wq(static_cast<std::size_t>(d.cout) * d.kdim);
-  f32_to_f16_n(wt.data(), wq.size(), wq.data());
+  // Weights quantize once per call and are shared read-only by every sample;
+  // gemm_s8 is serial, so the batch loop provides the parallelism (disjoint
+  // outputs, deterministic per-sample float sequences).
+  const PackedInt8A pa = pack_a_int8(wt.data(), d.kdim, d.cout, d.kdim, /*per_channel=*/true);
   common::ambient_parallel_for(static_cast<std::size_t>(d.n), [&](std::size_t sample) {
     const int b = static_cast<int>(sample);
     float* col = &col_cache[static_cast<std::size_t>(b) * d.kdim * d.pdim];
     im2col(&in[static_cast<std::size_t>(b) * d.cin * d.h * d.w], d.cin, d.h, d.w, d.kh, d.kw,
            spec, d.ho, d.wo, col);
-    Workspace& ws = Workspace::tls();
-    const Workspace::Mark mark = ws.mark();
-    const std::size_t col_elems = static_cast<std::size_t>(d.kdim) * d.pdim;
-    auto* colq = static_cast<std::uint16_t*>(ws.alloc_bytes(col_elems * sizeof(std::uint16_t)));
-    f32_to_f16_n(col, col_elems, colq);
-    gemm_f16(d.cout, d.pdim, d.kdim, wq.data(), d.kdim, colq, d.pdim,
-             &ov[static_cast<std::size_t>(b) * d.cout * d.pdim], d.pdim,
-             /*accumulate=*/false, epi);
-    ws.release(mark);
+    gemm_s8(pa, d.pdim, col, d.pdim, &ov[static_cast<std::size_t>(b) * d.cout * d.pdim], d.pdim,
+            /*accumulate=*/false, epi);
   });
   return out;
 }
@@ -349,6 +327,13 @@ MaxPoolResult maxpool2d_forward(const Tensor& input, int kernel, int stride) {
                 best_idx = static_cast<std::int64_t>(row + ix);
               }
             }
+          }
+          if (best_idx < 0) {
+            // All-NaN or all -inf window: nothing compared greater than
+            // -inf, so the window's first element wins (first-index ties).
+            best_idx = static_cast<std::int64_t>(
+                ((static_cast<std::size_t>(b) * c + ch) * h + oy * stride) * w + ox * stride);
+            best = in[static_cast<std::size_t>(best_idx)];
           }
           out[oi] = best;
           result.argmax[oi] = best_idx;

@@ -56,11 +56,11 @@ Tensor conv2d_forward_cached(const Tensor& input, const Tensor& weight, const Te
                              const std::uint8_t* channel_active = nullptr,
                              bool fuse_relu = false);
 // Reduced-precision conv forward for activation-profiling scans: kF32
-// delegates to conv2d_forward_cached; kInt8/kF16 run the quantized GEMMs
-// (weights packed once per call, activations quantized inside the pack).
+// delegates to conv2d_forward_cached; kInt8 runs the int8 GEMM (weights
+// packed once per call, activations quantized inside the pack).
 // Pruned channels need no mask support here — set_unit_active zeroes their
 // weights and bias, so they quantize to zero rows and stay exact zeros.
-// Falls back to fp32 when the spatial extent exceeds the quantized kernels'
+// Falls back to fp32 when the spatial extent exceeds the int8 kernel's
 // single-pass column limit (kGemmNC).
 Tensor conv2d_forward_quant(const Tensor& input, const Tensor& weight, const Tensor& bias,
                             const Conv2dSpec& spec, std::vector<float>& col_cache,
@@ -77,7 +77,9 @@ struct MaxPoolResult {
   std::vector<std::int64_t> argmax;
 };
 
-// Non-overlapping (stride == kernel) and overlapping max pooling.
+// Non-overlapping (stride == kernel) and overlapping max pooling. Ties and
+// windows with no comparable maximum (all NaN or all -inf) take the window's
+// first element, so every argmax is a valid input index.
 MaxPoolResult maxpool2d_forward(const Tensor& input, int kernel, int stride);
 Tensor maxpool2d_backward(const Shape& input_shape, const std::vector<std::int64_t>& argmax,
                           const Tensor& grad_output);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <tuple>
 
 #include "common/rng.h"
@@ -201,6 +202,34 @@ TEST(MaxPool, OverlappingStride) {
   auto result = maxpool2d_forward(x, 2, 1);
   EXPECT_EQ(result.output.shape(), (Shape{1, 1, 2, 2}));
   EXPECT_EQ(result.output.storage(), (std::vector<float>{5, 6, 8, 9}));
+}
+
+// A window with no element greater than -inf (all NaN, e.g. after training
+// diverged, or all -inf) must still name a valid input index, so backward
+// stays in bounds. The window's first element is the defined winner.
+TEST(MaxPool, AllNanWindowPicksFirstElement) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Tensor x(Shape{1, 2, 2, 2}, {1, 3, 2, 0,  //
+                               nan, nan, nan, nan});
+  auto result = maxpool2d_forward(x, 2, 2);
+  EXPECT_EQ(result.output.storage()[0], 3.0f);
+  EXPECT_TRUE(std::isnan(result.output.storage()[1]));
+  EXPECT_EQ(result.argmax, (std::vector<std::int64_t>{1, 4}));
+  Tensor gy(Shape{1, 2, 1, 1}, {7, 9});
+  auto gx = maxpool2d_backward(x.shape(), result.argmax, gy);
+  EXPECT_EQ(gx.storage(), (std::vector<float>{0, 7, 0, 0, 9, 0, 0, 0}));
+}
+
+TEST(MaxPool, AllNegInfWindowPicksFirstElement) {
+  const float ninf = -std::numeric_limits<float>::infinity();
+  Tensor x(Shape{1, 1, 2, 4}, {1, 2, ninf, ninf,  //
+                               3, 4, ninf, ninf});
+  auto result = maxpool2d_forward(x, 2, 2);
+  EXPECT_EQ(result.output.storage(), (std::vector<float>{4, ninf}));
+  EXPECT_EQ(result.argmax, (std::vector<std::int64_t>{5, 2}));
+  Tensor gy(Shape{1, 1, 1, 2}, {10, 20});
+  auto gx = maxpool2d_backward(x.shape(), result.argmax, gy);
+  EXPECT_EQ(gx.storage(), (std::vector<float>{0, 0, 20, 0, 0, 10, 0, 0}));
 }
 
 TEST(Softmax, RowsSumToOne) {

@@ -150,7 +150,6 @@ TEST(Resume, DefensePipelineBitIdenticalFromFinetuneSnapshot) {
   fedcleanse::defense::DefenseConfig dcfg;
   dcfg.method = fedcleanse::defense::PruneMethod::kMVP;
   dcfg.finetune.max_rounds = 4;
-  dcfg.record_asr_traces = false;
 
   Simulation straight(cfg);
   straight.run();

@@ -12,6 +12,7 @@
 #include "defense/pipeline.h"
 #include "defense/rank_aggregation.h"
 #include "fl/aggregation.h"
+#include "fl/protocol.h"
 #include "fl/simulation.h"
 #include "fl/streaming.h"
 #include "test_util.h"
@@ -42,23 +43,52 @@ SimulationConfig virtual_config(std::uint64_t seed = 51) {
   return cfg;
 }
 
-void expect_same_run(const SimulationConfig& base, int n_threads) {
-  auto streaming_cfg = base;
-  streaming_cfg.buffered_aggregation = false;
-  streaming_cfg.n_threads = n_threads;
-  auto buffered_cfg = base;
-  buffered_cfg.buffered_aggregation = true;
-  buffered_cfg.n_threads = n_threads;
+// Buffered reference for the streaming equivalence tests: one training round
+// of `sim` driven by hand through the materialize-everything exchange and the
+// server's classic apply_aggregate, which fl::StreamingAggregator must
+// reproduce bit for bit. The configs used here are unsampled and
+// materialized, so every client participates and no selection is drawn.
+ExchangeStats buffered_round(Simulation& sim, std::uint32_t round) {
+  auto& server = sim.server();
+  auto ex = exchange_with_retries<std::vector<float>>(
+      sim, sim.all_client_ids(),
+      [&](const std::vector<int>& ids) { server.broadcast_model(ids, round); },
+      [&](const std::vector<int>& ids, CollectStats* cs) {
+        return server.collect_updates(ids, round, cs);
+      },
+      "training round");
+  if (ex.stats.quorum_met) server.apply_aggregate(ex.clients, ex.values);
+  return ex.stats;
+}
 
-  Simulation streaming(streaming_cfg);
-  Simulation buffered(buffered_cfg);
-  streaming.run(true);
-  buffered.run(true);
-  EXPECT_EQ(streaming.server().params(), buffered.server().params())
-      << "threads=" << n_threads;
-  EXPECT_EQ(streaming.history(), buffered.history()) << "threads=" << n_threads;
-  EXPECT_EQ(streaming.network().total_bytes(), buffered.network().total_bytes())
-      << "threads=" << n_threads;
+// Runs `cfg` through Simulation::run_round and through buffered_round side by
+// side, requiring identical server params, exchange stats and wire bytes
+// (total and uplink) after every round, and identical reputation scores at
+// the end.
+void expect_same_run(SimulationConfig cfg, int n_threads) {
+  cfg.n_threads = n_threads;
+  Simulation streaming(cfg);
+  Simulation buffered(cfg);
+  for (int r = 0; r < cfg.rounds; ++r) {
+    const auto round = static_cast<std::uint32_t>(r);
+    streaming.run_round(round);
+    const ExchangeStats stats = buffered_round(buffered, round);
+    EXPECT_EQ(streaming.server().params(), buffered.server().params())
+        << "threads=" << n_threads << " round=" << r;
+    EXPECT_EQ(streaming.last_round_stats(), stats)
+        << "threads=" << n_threads << " round=" << r;
+    EXPECT_EQ(streaming.network().total_bytes(), buffered.network().total_bytes())
+        << "threads=" << n_threads << " round=" << r;
+    EXPECT_EQ(streaming.network().uplink_bytes(), buffered.network().uplink_bytes())
+        << "threads=" << n_threads << " round=" << r;
+  }
+  const auto* streaming_rep = streaming.server().reputation();
+  const auto* buffered_rep = buffered.server().reputation();
+  ASSERT_EQ(streaming_rep != nullptr, cfg.server.use_reputation);
+  ASSERT_EQ(buffered_rep != nullptr, cfg.server.use_reputation);
+  if (streaming_rep != nullptr) {
+    EXPECT_EQ(streaming_rep->reputations(), buffered_rep->reputations());
+  }
 }
 
 }  // namespace
@@ -153,7 +183,7 @@ TEST(StreamingRanks, ThrowsWithoutValidReports) {
   EXPECT_THROW(votes.shares(), ConfigError);
 }
 
-// --- whole-run equivalence: streaming vs buffered ----------------------------
+// --- whole-run equivalence: streaming vs buffered reference -------------------
 
 TEST(StreamingEquivalence, FedAvgMatchesBufferedAcrossThreadCounts) {
   auto cfg = testutil::tiny_sim_config(61);
@@ -174,16 +204,7 @@ TEST(StreamingEquivalence, ReputationWeightingMatches) {
   auto cfg = testutil::tiny_sim_config(63);
   cfg.rounds = 3;
   cfg.server.use_reputation = true;
-  auto buffered_cfg = cfg;
-  buffered_cfg.buffered_aggregation = true;
-  Simulation streaming(cfg);
-  Simulation buffered(buffered_cfg);
-  streaming.run(false);
-  buffered.run(false);
-  EXPECT_EQ(streaming.server().params(), buffered.server().params());
-  ASSERT_NE(streaming.server().reputation(), nullptr);
-  EXPECT_EQ(streaming.server().reputation()->reputations(),
-            buffered.server().reputation()->reputations());
+  expect_same_run(cfg, 0);
 }
 
 TEST(StreamingEquivalence, RobustAggregatorMatches) {
