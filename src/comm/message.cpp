@@ -1,5 +1,6 @@
 #include "comm/message.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 
@@ -182,6 +183,12 @@ std::vector<float> decode_flat_params(const std::vector<std::uint8_t>& payload) 
 }
 
 std::vector<std::uint8_t> encode_flat_params_q8(const std::vector<float>& params) {
+  const auto bad = std::find_if(params.begin(), params.end(),
+                                [](float v) { return !std::isfinite(v); });
+  if (bad != params.end()) {
+    throw EncodeError("flat_params_q8: non-finite value " + std::to_string(*bad) +
+                      " at index " + std::to_string(bad - params.begin()));
+  }
   const float scale = tensor::int8_scale(tensor::max_abs(params.data(), params.size()));
   std::vector<std::uint8_t> q(params.size());
   tensor::quantize_s8(params.data(), params.size(), scale,

@@ -53,6 +53,13 @@ class DecodeError : public SerializationError {
   explicit DecodeError(const std::string& what) : SerializationError(what) {}
 };
 
+// A value the wire format cannot carry, refused at the sender: a non-finite
+// entry in an int8-quantized update (a diverged model) has no int8 code.
+class EncodeError : public SerializationError {
+ public:
+  explicit EncodeError(const std::string& what) : SerializationError(what) {}
+};
+
 // Snapshot-epoch mismatch: a message from a different resume generation of
 // the run (a pre-crash server's stale kRoundSync, or a client that resumed
 // past the server's restored state). Subtype of DecodeError so the generic
@@ -152,7 +159,7 @@ std::optional<UpdateCodec> parse_update_codec(const std::string& name);
 // kModelUpdateQuantized payload: [f32 scale][u8-vector of int8 values].
 // decode throws DecodeError on truncation, trailing bytes, or a non-finite /
 // non-positive scale (a corrupted scale would silently rescale the whole
-// update).
+// update). encode throws EncodeError when any entry is NaN or infinite.
 std::vector<std::uint8_t> encode_flat_params_q8(const std::vector<float>& params);
 std::vector<float> decode_flat_params_q8(const std::vector<std::uint8_t>& payload);
 

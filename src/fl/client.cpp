@@ -96,9 +96,10 @@ void Client::train_locally() {
       model_.net.zero_grad();
       // Fused forward: conv+ReLU pairs collapse into GEMM epilogues and the
       // classifier head emits softmax probabilities directly — bit-identical
-      // to the layer-by-layer forward + softmax_rows pipeline.
+      // to the layer-by-layer forward + softmax_rows pipeline. The backward
+      // skips the image gradient, which nothing here reads.
       loss.forward_probs(model_.net.forward_probs(batch.images), batch.labels);
-      model_.net.backward(loss.backward());
+      model_.net.backward_params(loss.backward());
       sgd.step();
     }
   }

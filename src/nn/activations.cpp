@@ -5,9 +5,9 @@ namespace fedcleanse::nn {
 Tensor ReLU::forward(const Tensor& x) {
   input_cache_ = x;
   Tensor y = x;
-  for (auto& v : y.storage()) {
-    if (v < 0.0f) v = 0.0f;
-  }
+  // Selects, not branches, so the loops vectorize; NaN fails both compares
+  // and passes through unchanged.
+  for (auto& v : y.storage()) v = v < 0.0f ? 0.0f : v;
   return y;
 }
 
@@ -16,9 +16,8 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   Tensor g = grad_out;
   const auto in = input_cache_.data();
   auto gv = g.data();
-  for (std::size_t i = 0; i < gv.size(); ++i) {
-    if (in[i] <= 0.0f) gv[i] = 0.0f;
-  }
+  // Select form as in forward: a NaN input fails `<= 0` and keeps its gradient.
+  for (std::size_t i = 0; i < gv.size(); ++i) gv[i] = in[i] <= 0.0f ? 0.0f : gv[i];
   return g;
 }
 

@@ -35,12 +35,17 @@ Tensor Conv2d::forward_conv(const Tensor& x, bool fuse_relu, tensor::ComputeKern
                                       fuse_relu, any_pruned_ ? active_.data() : nullptr);
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) {
+Tensor Conv2d::backward(const Tensor& grad_out) { return accumulate_grads(grad_out, true); }
+
+void Conv2d::backward_params(const Tensor& grad_out) { (void)accumulate_grads(grad_out, false); }
+
+Tensor Conv2d::accumulate_grads(const Tensor& grad_out, bool want_grad_input) {
   // The channel mask makes the kernel drop pruned channels from every
   // gradient product, so the incoming gradient needs no masking copy.
   auto grads = tensor::conv2d_backward_cached(input_cache_, weight_, grad_out, spec_,
                                               col_cache_,
-                                              any_pruned_ ? active_.data() : nullptr);
+                                              any_pruned_ ? active_.data() : nullptr,
+                                              want_grad_input);
   grad_weight_ += grads.grad_weight;
   grad_bias_ += grads.grad_bias;
   return std::move(grads.grad_input);

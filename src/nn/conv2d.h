@@ -21,6 +21,8 @@ class Conv2d : public Layer {
   // scan paths. forward(x) ≡ forward_conv(x, false, kF32).
   Tensor forward_conv(const Tensor& x, bool fuse_relu, tensor::ComputeKernel kernel);
   Tensor backward(const Tensor& grad_out) override;
+  // Skips the gcol GEMM, the col2im scatter and the grad_input allocation.
+  void backward_params(const Tensor& grad_out) override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "Conv2d"; }
@@ -42,6 +44,10 @@ class Conv2d : public Layer {
   std::vector<float> active_weights() const;
 
  private:
+  // Shared body of backward/backward_params; returns dLoss/dInput, empty
+  // when want_grad_input is false.
+  Tensor accumulate_grads(const Tensor& grad_out, bool want_grad_input);
+
   int in_channels_;
   int out_channels_;
   int kernel_;

@@ -31,6 +31,10 @@ class Layer {
   // Given dLoss/dOutput, accumulate parameter gradients and return
   // dLoss/dInput. Must be called after forward on the same input.
   virtual Tensor backward(const Tensor& grad_out) = 0;
+  // Accumulate parameter gradients only, for a layer whose dLoss/dInput no
+  // one reads (the first layer of a training step). Layers that can skip the
+  // input gradient override this; the default runs backward and drops it.
+  virtual void backward_params(const Tensor& grad_out) { (void)backward(grad_out); }
 
   virtual std::vector<ParamRef> params() { return {}; }
   virtual std::unique_ptr<Layer> clone() const = 0;

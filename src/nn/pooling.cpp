@@ -4,9 +4,7 @@ namespace fedcleanse::nn {
 
 Tensor MaxPool2d::forward(const Tensor& x) {
   input_shape_ = x.shape();
-  auto result = tensor::maxpool2d_forward(x, kernel_, stride_);
-  argmax_ = std::move(result.argmax);
-  return std::move(result.output);
+  return tensor::maxpool2d_forward(x, kernel_, stride_, argmax_);
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_out) {

@@ -24,6 +24,7 @@ class MaxPool2d : public Layer {
   int kernel_;
   int stride_;
   Shape input_shape_;
+  // Rewritten in place by every forward; its capacity carries across calls.
   std::vector<std::int64_t> argmax_;
 };
 

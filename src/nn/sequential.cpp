@@ -76,6 +76,13 @@ Tensor Sequential::backward(const Tensor& grad_out) {
   return cur;
 }
 
+void Sequential::backward_params(const Tensor& grad_out) {
+  FC_REQUIRE(!layers_.empty(), "backward on an empty model");
+  Tensor cur = grad_out;
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) cur = layers_[i]->backward(cur);
+  layers_.front()->backward_params(cur);
+}
+
 void Sequential::zero_grad() {
   for (auto& layer : layers_) layer->zero_grad();
 }

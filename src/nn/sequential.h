@@ -49,6 +49,9 @@ class Sequential {
   Tensor forward_probs(const Tensor& x);
   // Backpropagate from dLoss/dOutput; returns dLoss/dInput.
   Tensor backward(const Tensor& grad_out);
+  // The training backward: the same parameter gradients as backward(), bit
+  // for bit, but layer 0 computes no dLoss/dInput, which training never reads.
+  void backward_params(const Tensor& grad_out);
 
   void zero_grad();
   std::vector<ParamRef> params();

@@ -200,6 +200,14 @@ const char* int8_dispatch_name() {
 
 namespace {
 
+// One B entry, already scaled into [-127, 127], rounded to int16. NaN gives
+// 0, as in the AVX2 pack (cvtps2dq's 0x80000000 keeps 0 in both int16
+// halves), instead of the undefined NaN-to-int cast.
+std::int16_t quantize_b(float x) {
+  const float v = std::rintf(x);
+  return static_cast<std::int16_t>(static_cast<std::int32_t>(v == v ? v : 0.0f));
+}
+
 // Fused quantize+pack of one B sliver: reads kc float rows of n_sub columns,
 // writes packed int16 depth-pairs zero-padded to NR columns and a whole
 // trailing pair.
@@ -223,11 +231,8 @@ void pack_b_q8(const float* b, int ldb, float binv, int k0, int kc, int j0, int 
     std::int16_t* dst = bp + static_cast<std::size_t>(p) * kPairB;
     int j = 0;
     for (; j < n_sub; ++j) {
-      dst[2 * j] = static_cast<std::int16_t>(static_cast<std::int32_t>(std::rintf(r0[j] * binv)));
-      dst[2 * j + 1] =
-          r1 != nullptr
-              ? static_cast<std::int16_t>(static_cast<std::int32_t>(std::rintf(r1[j] * binv)))
-              : 0;
+      dst[2 * j] = quantize_b(r0[j] * binv);
+      dst[2 * j + 1] = r1 != nullptr ? quantize_b(r1[j] * binv) : 0;
     }
     for (; j < kGemmNR; ++j) {
       dst[2 * j] = 0;

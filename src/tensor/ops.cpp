@@ -31,25 +31,73 @@ namespace {
 inline int conv_out_dim(int in, int kernel, int stride, int padding) {
   return (in + 2 * padding - kernel) / stride + 1;
 }
+
+// Output columns [lo, hi) whose input column ox·stride − padding + kx falls
+// inside [0, w). Outside that span im2col writes zeros and col2im adds
+// nothing, so both loops test bounds once per (ic, ky, kx) row instead of
+// once per element.
+struct ColSpan {
+  int lo, hi;
+};
+
+ColSpan valid_cols(int kx, int w, int wo, const Conv2dSpec& spec) {
+  const int s = spec.stride;
+  const int first = spec.padding - kx;   // smallest ox·s that is in bounds
+  const int end = w + spec.padding - kx;  // smallest ox·s past the edge
+  const int lo = std::min(wo, first <= 0 ? 0 : (first + s - 1) / s);
+  const int hi = std::min(wo, end <= 0 ? 0 : (end + s - 1) / s);
+  return {lo, std::max(lo, hi)};
+}
+
 }  // namespace
 
 void im2col(const float* image, int cin, int h, int w, int kh, int kw,
             const Conv2dSpec& spec, int ho, int wo, float* col) {
+  const int s = spec.stride;
   float* cp = col;
   for (int ic = 0; ic < cin; ++ic) {
     const float* plane = image + static_cast<std::size_t>(ic) * h * w;
     for (int ky = 0; ky < kh; ++ky) {
       for (int kx = 0; kx < kw; ++kx) {
-        for (int oy = 0; oy < ho; ++oy) {
-          const int iy = oy * spec.stride - spec.padding + ky;
+        const ColSpan span = valid_cols(kx, w, wo, spec);
+        const int off = kx - spec.padding;
+        // Plain loops: rows are a few floats wide, where memset/memmove
+        // calls cost more than the copy.
+        for (int oy = 0; oy < ho; ++oy, cp += wo) {
+          const int iy = oy * s - spec.padding + ky;
           if (iy < 0 || iy >= h) {
-            for (int ox = 0; ox < wo; ++ox) *cp++ = 0.0f;
+            for (int ox = 0; ox < wo; ++ox) cp[ox] = 0.0f;
             continue;
           }
-          const float* row = &plane[static_cast<std::size_t>(iy) * w];
-          for (int ox = 0; ox < wo; ++ox) {
-            const int ix = ox * spec.stride - spec.padding + kx;
-            *cp++ = (ix < 0 || ix >= w) ? 0.0f : row[ix];
+          // row[ox·s + off] is the input element of output column ox.
+          const float* row = plane + static_cast<std::size_t>(iy) * w;
+          for (int ox = 0; ox < span.lo; ++ox) cp[ox] = 0.0f;
+          for (int ox = span.lo; ox < span.hi; ++ox) cp[ox] = row[ox * s + off];
+          for (int ox = span.hi; ox < wo; ++ox) cp[ox] = 0.0f;
+        }
+      }
+    }
+  }
+}
+
+void col2im(const float* col, int cin, int h, int w, int kh, int kw, const Conv2dSpec& spec,
+            int ho, int wo, float* image) {
+  const int s = spec.stride;
+  const float* cp = col;
+  for (int ic = 0; ic < cin; ++ic) {
+    float* plane = image + static_cast<std::size_t>(ic) * h * w;
+    for (int ky = 0; ky < kh; ++ky) {
+      for (int kx = 0; kx < kw; ++kx) {
+        const ColSpan span = valid_cols(kx, w, wo, spec);
+        const int off = kx - spec.padding;
+        for (int oy = 0; oy < ho; ++oy, cp += wo) {
+          const int iy = oy * s - spec.padding + ky;
+          if (iy < 0 || iy >= h) continue;
+          float* row = plane + static_cast<std::size_t>(iy) * w;
+          if (s == 1) {
+            for (int ox = span.lo; ox < span.hi; ++ox) row[ox + off] += cp[ox];
+          } else {
+            for (int ox = span.lo; ox < span.hi; ++ox) row[ox * s + off] += cp[ox];
           }
         }
       }
@@ -172,12 +220,13 @@ namespace {
 Conv2dGrads conv2d_backward_impl(const Tensor& input, const Tensor& weight,
                                  const Tensor& grad_output, const Conv2dSpec& spec,
                                  const float* col_cache,
-                                 const std::uint8_t* channel_active) {
+                                 const std::uint8_t* channel_active, bool want_grad_input) {
   const ConvDims d = conv_dims(input, weight, spec);
   FC_REQUIRE(grad_output.shape()[0] == d.n && grad_output.shape()[1] == d.cout,
              "conv2d_backward grad_output shape mismatch");
 
-  Conv2dGrads g{Tensor(input.shape()), Tensor(weight.shape()), Tensor(Shape{d.cout})};
+  Conv2dGrads g{want_grad_input ? Tensor(input.shape()) : Tensor(), Tensor(weight.shape()),
+                Tensor(Shape{d.cout})};
   const auto wt = weight.data();
   const auto go = grad_output.data();
   auto gi = g.grad_input.data();
@@ -220,6 +269,7 @@ Conv2dGrads conv2d_backward_impl(const Tensor& input, const Tensor& weight,
     // gw[oc, k] = Σ_p grad[oc, p] · col[k, p]  (B read transposed).
     gemm(false, true, d.cout, d.kdim, d.pdim, gsample, d.pdim, col, d.pdim, gwp, d.kdim,
          /*accumulate=*/false, row_mask);
+    if (!want_grad_input) return;
 
     // gcol[k, p] = Σ_oc w[oc, k] · grad[oc, p]  (A read transposed; pruned
     // channels drop out of the contraction).
@@ -229,29 +279,8 @@ Conv2dGrads conv2d_backward_impl(const Tensor& input, const Tensor& weight,
     gemm(true, false, d.kdim, d.pdim, d.cout, wt.data(), d.kdim, gsample, d.pdim, gcol,
          d.pdim, /*accumulate=*/false, contraction_mask);
 
-    // col2im scatter of gcol into grad_input.
-    const float* gcp = gcol;
-    float* gimage = &gi[static_cast<std::size_t>(b) * d.cin * d.h * d.w];
-    for (int ic = 0; ic < d.cin; ++ic) {
-      float* plane = gimage + static_cast<std::size_t>(ic) * d.h * d.w;
-      for (int ky = 0; ky < d.kh; ++ky) {
-        for (int kx = 0; kx < d.kw; ++kx) {
-          for (int oy = 0; oy < d.ho; ++oy) {
-            const int iy = oy * spec.stride - spec.padding + ky;
-            if (iy < 0 || iy >= d.h) {
-              gcp += d.wo;
-              continue;
-            }
-            float* row = &plane[static_cast<std::size_t>(iy) * d.w];
-            for (int ox = 0; ox < d.wo; ++ox) {
-              const int ix = ox * spec.stride - spec.padding + kx;
-              if (ix >= 0 && ix < d.w) row[ix] += *gcp;
-              ++gcp;
-            }
-          }
-        }
-      }
-    }
+    col2im(gcol, d.cin, d.h, d.w, d.kh, d.kw, spec, d.ho, d.wo,
+           &gi[static_cast<std::size_t>(b) * d.cin * d.h * d.w]);
     ws.release(smark);
   });
 
@@ -271,12 +300,12 @@ Conv2dGrads conv2d_backward_impl(const Tensor& input, const Tensor& weight,
 Conv2dGrads conv2d_backward_cached(const Tensor& input, const Tensor& weight,
                                    const Tensor& grad_output, const Conv2dSpec& spec,
                                    const std::vector<float>& col_cache,
-                                   const std::uint8_t* channel_active) {
+                                   const std::uint8_t* channel_active, bool want_grad_input) {
   const ConvDims d = conv_dims(input, weight, spec);
   FC_REQUIRE(col_cache.size() == static_cast<std::size_t>(d.n) * d.kdim * d.pdim,
              "conv2d_backward column cache has the wrong size");
   return conv2d_backward_impl(input, weight, grad_output, spec, col_cache.data(),
-                              channel_active);
+                              channel_active, want_grad_input);
 }
 
 Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
@@ -290,12 +319,69 @@ Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
     im2col(&in[b * d.cin * d.h * d.w], d.cin, d.h, d.w, d.kh, d.kw, spec, d.ho, d.wo,
            &col[b * d.kdim * d.pdim]);
   });
-  Conv2dGrads g = conv2d_backward_impl(input, weight, grad_output, spec, col, nullptr);
+  Conv2dGrads g = conv2d_backward_impl(input, weight, grad_output, spec, col, nullptr, true);
   ws.release(mk);
   return g;
 }
 
-MaxPoolResult maxpool2d_forward(const Tensor& input, int kernel, int stride) {
+namespace {
+
+// One output row of a 2×2/stride-2 pool over input rows r0, r1 (base = flat
+// index of r0[0]). Each step takes its element only when it is strictly
+// greater than the best so far, so the first maximum wins ties. A window
+// where nothing beats -inf (all NaN or all -inf) keeps k = 0 and outputs its
+// first element. Selects instead of branches let GCC vectorize the loop.
+void maxpool_2x2_row(const float* __restrict r0, const float* __restrict r1, int wo,
+                     std::int64_t base, std::int64_t w, float* __restrict out,
+                     std::int64_t* __restrict argmax) {
+  constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+  for (int ox = 0; ox < wo; ++ox) {
+    const float a = r0[2 * ox], b = r0[2 * ox + 1], c = r1[2 * ox], d = r1[2 * ox + 1];
+    float best = a > kNegInf ? a : kNegInf;
+    const bool tb = b > best;
+    best = tb ? b : best;
+    const bool tc = c > best;
+    best = tc ? c : best;
+    const bool td = d > best;
+    best = td ? d : best;
+    const std::int32_t k = td ? 3 : (tc ? 2 : (tb ? 1 : 0));
+    out[ox] = k == 0 ? a : best;
+    argmax[ox] = base + 2 * ox + (k & 1) + (k >> 1) * w;
+  }
+}
+
+// Any kernel/stride, one [h, w] plane; same tie and NaN rules as above.
+void maxpool_plane(const float* plane, std::int64_t base, int w, int kernel, int stride,
+                   int ho, int wo, float* out, std::int64_t* argmax) {
+  for (int oy = 0; oy < ho; ++oy) {
+    for (int ox = 0; ox < wo; ++ox) {
+      const int start = oy * stride * w + ox * stride;
+      const float* win = plane + start;
+      float best = -std::numeric_limits<float>::infinity();
+      int arg = -1;
+      for (int ky = 0; ky < kernel; ++ky) {
+        const float* row = win + ky * w;
+        for (int kx = 0; kx < kernel; ++kx) {
+          if (row[kx] > best) {
+            best = row[kx];
+            arg = ky * w + kx;
+          }
+        }
+      }
+      if (arg < 0) {
+        arg = 0;
+        best = win[0];
+      }
+      *out++ = best;
+      *argmax++ = base + start + arg;
+    }
+  }
+}
+
+}  // namespace
+
+Tensor maxpool2d_forward(const Tensor& input, int kernel, int stride,
+                         std::vector<std::int64_t>& argmax) {
   FC_REQUIRE(input.shape().rank() == 4, "maxpool input must be [N,C,H,W]");
   FC_REQUIRE(kernel > 0 && stride > 0, "maxpool kernel/stride must be positive");
   const int n = input.shape()[0], c = input.shape()[1], h = input.shape()[2],
@@ -304,44 +390,35 @@ MaxPoolResult maxpool2d_forward(const Tensor& input, int kernel, int stride) {
   const int wo = (w - kernel) / stride + 1;
   FC_REQUIRE(ho > 0 && wo > 0, "maxpool output would be empty");
 
-  MaxPoolResult result{Tensor(Shape{n, c, ho, wo}), {}};
-  result.argmax.resize(result.output.size());
-  const auto in = input.data();
-  auto out = result.output.data();
+  Tensor output(Shape{n, c, ho, wo});
+  argmax.resize(output.size());
+  const float* in = input.data().data();
+  float* out = output.data().data();
+  std::int64_t* am = argmax.data();
+  const std::size_t in_plane = static_cast<std::size_t>(h) * w;
+  const std::size_t out_plane = static_cast<std::size_t>(ho) * wo;
 
-  std::size_t oi = 0;
-  for (int b = 0; b < n; ++b) {
-    for (int ch = 0; ch < c; ++ch) {
-      for (int oy = 0; oy < ho; ++oy) {
-        for (int ox = 0; ox < wo; ++ox, ++oi) {
-          float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = -1;
-          for (int ky = 0; ky < kernel; ++ky) {
-            const int iy = oy * stride + ky;
-            const std::size_t row = ((static_cast<std::size_t>(b) * c + ch) * h + iy) * w;
-            for (int kx = 0; kx < kernel; ++kx) {
-              const int ix = ox * stride + kx;
-              const float v = in[row + ix];
-              if (v > best) {
-                best = v;
-                best_idx = static_cast<std::int64_t>(row + ix);
-              }
-            }
-          }
-          if (best_idx < 0) {
-            // All-NaN or all -inf window: nothing compared greater than
-            // -inf, so the window's first element wins (first-index ties).
-            best_idx = static_cast<std::int64_t>(
-                ((static_cast<std::size_t>(b) * c + ch) * h + oy * stride) * w + ox * stride);
-            best = in[static_cast<std::size_t>(best_idx)];
-          }
-          out[oi] = best;
-          result.argmax[oi] = best_idx;
+  // Samples own disjoint input and output planes, so the batch splits across
+  // threads with no change to any element's result.
+  common::ambient_parallel_for(static_cast<std::size_t>(n), [&](std::size_t b) {
+    for (std::size_t p = b * c; p < (b + 1) * c; ++p) {
+      const float* ip = in + p * in_plane;
+      const auto base = static_cast<std::int64_t>(p * in_plane);
+      float* op = out + p * out_plane;
+      std::int64_t* ap = am + p * out_plane;
+      if (kernel == 2 && stride == 2) {
+        for (int oy = 0; oy < ho; ++oy) {
+          const std::size_t r = static_cast<std::size_t>(2 * oy) * w;
+          maxpool_2x2_row(ip + r, ip + r + w, wo, base + static_cast<std::int64_t>(r), w,
+                          op + static_cast<std::size_t>(oy) * wo,
+                          ap + static_cast<std::size_t>(oy) * wo);
         }
+      } else {
+        maxpool_plane(ip, base, w, kernel, stride, ho, wo, op, ap);
       }
     }
-  }
-  return result;
+  });
+  return output;
 }
 
 Tensor maxpool2d_backward(const Shape& input_shape, const std::vector<std::int64_t>& argmax,

@@ -42,6 +42,10 @@ Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
 // the NN layer caches the result so backward skips the rebuild.
 void im2col(const float* image, int cin, int h, int w, int kh, int kw,
             const Conv2dSpec& spec, int ho, int wo, float* col);
+// col2im: the adjoint of im2col — adds every column entry back onto the
+// image pixel it was read from (`image` accumulates, in column order).
+void col2im(const float* col, int cin, int h, int w, int kh, int kw, const Conv2dSpec& spec,
+            int ho, int wo, float* image);
 
 // Variants that reuse a caller-provided column cache holding the unfolded
 // batch ([N][kdim·pdim], concatenated). `channel_active` (optional, [Cout])
@@ -66,21 +70,22 @@ Tensor conv2d_forward_quant(const Tensor& input, const Tensor& weight, const Ten
                             const Conv2dSpec& spec, std::vector<float>& col_cache,
                             ComputeKernel kernel, bool fuse_relu = false,
                             const std::uint8_t* channel_active = nullptr);
+// want_grad_input = false computes grad_weight/grad_bias only (bit-identical
+// to the full call) and leaves grad_input empty: no gcol GEMM, no col2im.
 Conv2dGrads conv2d_backward_cached(const Tensor& input, const Tensor& weight,
                                    const Tensor& grad_output, const Conv2dSpec& spec,
                                    const std::vector<float>& col_cache,
-                                   const std::uint8_t* channel_active = nullptr);
+                                   const std::uint8_t* channel_active = nullptr,
+                                   bool want_grad_input = true);
 
-struct MaxPoolResult {
-  Tensor output;
-  // Flat input index of the argmax for every output element, used by backward.
-  std::vector<std::int64_t> argmax;
-};
-
-// Non-overlapping (stride == kernel) and overlapping max pooling. Ties and
-// windows with no comparable maximum (all NaN or all -inf) take the window's
-// first element, so every argmax is a valid input index.
-MaxPoolResult maxpool2d_forward(const Tensor& input, int kernel, int stride);
+// Non-overlapping (stride == kernel) and overlapping max pooling. `argmax`
+// receives the flat input index of every output element's maximum, for
+// backward; it is resized in place, so a caller that keeps it between calls
+// allocates it once. Ties and windows with no comparable maximum (all NaN or
+// all -inf) take the window's first element, so every argmax is a valid
+// input index. 2×2 windows at stride 2 run a vectorized path.
+Tensor maxpool2d_forward(const Tensor& input, int kernel, int stride,
+                         std::vector<std::int64_t>& argmax);
 Tensor maxpool2d_backward(const Shape& input_shape, const std::vector<std::int64_t>& argmax,
                           const Tensor& grad_output);
 

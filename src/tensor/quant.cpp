@@ -53,6 +53,9 @@ void quantize_s8(const float* x, std::size_t n, float scale, std::int8_t* q) {
     float v = std::rintf(x[i] * inv);
     v = v < -127.0f ? -127.0f : v;
     v = v > 127.0f ? 127.0f : v;
+    // NaN fails both clamps, and casting it to int is undefined: it
+    // quantizes to 0, the value the AVX2 B pack's cvtps2dq lanes give it.
+    v = v == v ? v : 0.0f;
     q[i] = static_cast<std::int8_t>(static_cast<int>(v));
   }
 }

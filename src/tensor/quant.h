@@ -42,7 +42,8 @@ float max_abs(const float* x, std::size_t n);
 // dequantization stays exact (0 * 1 == 0) and nothing divides by zero.
 float int8_scale(float maxabs);
 
-// q[i] = clamp(round(x[i] / scale), -127, 127), round-to-nearest-even.
+// q[i] = clamp(round(x[i] / scale), -127, 127), round-to-nearest-even;
+// NaN quantizes to 0.
 void quantize_s8(const float* x, std::size_t n, float scale, std::int8_t* q);
 void dequantize_s8(const std::int8_t* q, std::size_t n, float scale, float* x);
 

@@ -147,6 +147,17 @@ TEST(Codecs, QuantizedParamsRejectsBadScale) {
   EXPECT_THROW(decode_flat_params_q8(payload), DecodeError);
 }
 
+// A diverged update has no int8 encoding: the sender refuses it with a typed
+// error instead of shipping arbitrary codes.
+TEST(Codecs, QuantizedParamsRefuseNonFinite) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {nan, inf, -inf}) {
+    EXPECT_THROW(encode_flat_params_q8({0.5f, bad, -0.25f}), EncodeError) << bad;
+  }
+  EXPECT_NO_THROW(encode_flat_params_q8({0.5f, -0.25f}));
+}
+
 TEST(Codecs, QuantizedParamsTruncationFuzz) {
   const std::vector<float> params(64, 0.5f);
   const auto payload = encode_flat_params_q8(params);

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
+#include <limits>
+#include <utility>
 
 #include "comm/faulty_network.h"
 #include "common/threadpool.h"
@@ -128,6 +131,37 @@ TEST(Determinism, Conv2dBackwardParallelMatchesSerialExactly) {
   }
   for (std::size_t i = 0; i < serial.grad_bias.size(); ++i) {
     ASSERT_EQ(threaded.grad_bias.data()[i], serial.grad_bias.data()[i]);
+  }
+}
+
+// The max pool splits the batch across the ambient pool: output and argmax
+// must not depend on the pool size, on the vectorized 2×2 path and on the
+// generic one, NaN windows included.
+TEST(Determinism, MaxPoolBatchParallelIsThreadCountInvariant) {
+  common::Rng rng(9);
+  auto x = tensor::Tensor::randn({13, 4, 11, 10}, rng);
+  for (std::size_t i = 0; i < x.size(); i += 7) {
+    x.data()[i] = std::numeric_limits<float>::quiet_NaN();
+  }
+  for (const auto& [kernel, stride] : {std::pair{2, 2}, std::pair{3, 2}}) {
+    std::vector<std::int64_t> serial_arg;
+    tensor::Tensor serial;
+    {
+      AmbientPoolGuard serial_guard(nullptr);
+      serial = tensor::maxpool2d_forward(x, kernel, stride, serial_arg);
+    }
+    for (const int threads : {1, 2, 4}) {
+      common::ThreadPool pool(threads);
+      AmbientPoolGuard guard(&pool);
+      std::vector<std::int64_t> arg;
+      const auto out = tensor::maxpool2d_forward(x, kernel, stride, arg);
+      ASSERT_EQ(out.size(), serial.size());
+      EXPECT_EQ(std::memcmp(out.data().data(), serial.data().data(),
+                            serial.size() * sizeof(float)),
+                0)
+          << "kernel " << kernel << ", " << threads << " threads";
+      EXPECT_EQ(arg, serial_arg) << "kernel " << kernel << ", " << threads << " threads";
+    }
   }
 }
 

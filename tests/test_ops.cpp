@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <tuple>
 
 #include "common/rng.h"
@@ -43,6 +47,103 @@ Tensor conv_reference(const Tensor& input, const Tensor& weight, const Tensor& b
     }
   }
   return out;
+}
+
+// Reference max pool: the per-window scan with a data-dependent branch, the
+// first strictly greater element winning, and the window's first element
+// when nothing beats -inf.
+void maxpool_reference(const Tensor& input, int kernel, int stride, std::vector<float>& out,
+                       std::vector<std::int64_t>& argmax) {
+  const int n = input.shape()[0], c = input.shape()[1], h = input.shape()[2],
+            w = input.shape()[3];
+  const int ho = (h - kernel) / stride + 1, wo = (w - kernel) / stride + 1;
+  const auto in = input.data();
+  out.clear();
+  argmax.clear();
+  for (int p = 0; p < n * c; ++p) {
+    for (int oy = 0; oy < ho; ++oy) {
+      for (int ox = 0; ox < wo; ++ox) {
+        float best = -std::numeric_limits<float>::infinity();
+        std::int64_t idx = -1;
+        for (int ky = 0; ky < kernel; ++ky) {
+          for (int kx = 0; kx < kernel; ++kx) {
+            const std::int64_t i =
+                (static_cast<std::int64_t>(p) * h + oy * stride + ky) * w + ox * stride + kx;
+            if (in[static_cast<std::size_t>(i)] > best) {
+              best = in[static_cast<std::size_t>(i)];
+              idx = i;
+            }
+          }
+        }
+        if (idx < 0) {
+          idx = (static_cast<std::int64_t>(p) * h + oy * stride) * w + ox * stride;
+          best = in[static_cast<std::size_t>(idx)];
+        }
+        out.push_back(best);
+        argmax.push_back(idx);
+      }
+    }
+  }
+}
+
+// Reference im2col/col2im: bounds tested on every element.
+void im2col_reference(const float* image, int cin, int h, int w, int kh, int kw,
+                      const Conv2dSpec& spec, int ho, int wo, float* col) {
+  float* cp = col;
+  for (int ic = 0; ic < cin; ++ic) {
+    for (int ky = 0; ky < kh; ++ky) {
+      for (int kx = 0; kx < kw; ++kx) {
+        for (int oy = 0; oy < ho; ++oy) {
+          for (int ox = 0; ox < wo; ++ox) {
+            const int iy = oy * spec.stride - spec.padding + ky;
+            const int ix = ox * spec.stride - spec.padding + kx;
+            *cp++ = (iy < 0 || iy >= h || ix < 0 || ix >= w)
+                        ? 0.0f
+                        : image[(static_cast<std::size_t>(ic) * h + iy) * w + ix];
+          }
+        }
+      }
+    }
+  }
+}
+
+void col2im_reference(const float* col, int cin, int h, int w, int kh, int kw,
+                      const Conv2dSpec& spec, int ho, int wo, float* image) {
+  const float* cp = col;
+  for (int ic = 0; ic < cin; ++ic) {
+    for (int ky = 0; ky < kh; ++ky) {
+      for (int kx = 0; kx < kw; ++kx) {
+        for (int oy = 0; oy < ho; ++oy) {
+          for (int ox = 0; ox < wo; ++ox, ++cp) {
+            const int iy = oy * spec.stride - spec.padding + ky;
+            const int ix = ox * spec.stride - spec.padding + kx;
+            if (iy >= 0 && iy < h && ix >= 0 && ix < w) {
+              image[(static_cast<std::size_t>(ic) * h + iy) * w + ix] += *cp;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Values from a small set so windows hold exact ties, plus scattered NaN and
+// -inf, and whole planes of each so every window shape sees an all-NaN and
+// an all -inf case.
+Tensor pool_input(int n, int c, int h, int w, std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor x(Shape{n, c, h, w});
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float ninf = -std::numeric_limits<float>::infinity();
+  for (auto& v : x.storage()) {
+    const int r = rng.int_range(0, 9);
+    v = r == 0 ? nan : r == 1 ? ninf : static_cast<float>(r % 4) - 1.0f;
+  }
+  auto xs = x.data();
+  const std::size_t plane = static_cast<std::size_t>(h) * w;
+  std::fill_n(xs.begin(), plane, nan);           // sample 0, channel 0
+  std::fill_n(xs.begin() + plane, plane, ninf);  // sample 0, channel 1
+  return x;
 }
 
 }  // namespace
@@ -184,24 +285,27 @@ TEST(MaxPool, ForwardHandComputed) {
                                5, 6, 7, 8,    //
                                9, 10, 11, 12,  //
                                13, 14, 15, 16});
-  auto result = maxpool2d_forward(x, 2, 2);
-  EXPECT_EQ(result.output.shape(), (Shape{1, 1, 2, 2}));
-  EXPECT_EQ(result.output.storage(), (std::vector<float>{6, 8, 14, 16}));
+  std::vector<std::int64_t> argmax;
+  auto out = maxpool2d_forward(x, 2, 2, argmax);
+  EXPECT_EQ(out.shape(), (Shape{1, 1, 2, 2}));
+  EXPECT_EQ(out.storage(), (std::vector<float>{6, 8, 14, 16}));
 }
 
 TEST(MaxPool, BackwardRoutesToArgmax) {
   Tensor x(Shape{1, 1, 2, 2}, {1, 9, 3, 4});
-  auto result = maxpool2d_forward(x, 2, 2);
+  std::vector<std::int64_t> argmax;
+  maxpool2d_forward(x, 2, 2, argmax);
   Tensor gy(Shape{1, 1, 1, 1}, {5});
-  auto gx = maxpool2d_backward(x.shape(), result.argmax, gy);
+  auto gx = maxpool2d_backward(x.shape(), argmax, gy);
   EXPECT_EQ(gx.storage(), (std::vector<float>{0, 5, 0, 0}));
 }
 
 TEST(MaxPool, OverlappingStride) {
   Tensor x(Shape{1, 1, 3, 3}, {1, 2, 3, 4, 5, 6, 7, 8, 9});
-  auto result = maxpool2d_forward(x, 2, 1);
-  EXPECT_EQ(result.output.shape(), (Shape{1, 1, 2, 2}));
-  EXPECT_EQ(result.output.storage(), (std::vector<float>{5, 6, 8, 9}));
+  std::vector<std::int64_t> argmax;
+  auto out = maxpool2d_forward(x, 2, 1, argmax);
+  EXPECT_EQ(out.shape(), (Shape{1, 1, 2, 2}));
+  EXPECT_EQ(out.storage(), (std::vector<float>{5, 6, 8, 9}));
 }
 
 // A window with no element greater than -inf (all NaN, e.g. after training
@@ -211,12 +315,13 @@ TEST(MaxPool, AllNanWindowPicksFirstElement) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   Tensor x(Shape{1, 2, 2, 2}, {1, 3, 2, 0,  //
                                nan, nan, nan, nan});
-  auto result = maxpool2d_forward(x, 2, 2);
-  EXPECT_EQ(result.output.storage()[0], 3.0f);
-  EXPECT_TRUE(std::isnan(result.output.storage()[1]));
-  EXPECT_EQ(result.argmax, (std::vector<std::int64_t>{1, 4}));
+  std::vector<std::int64_t> argmax;
+  auto out = maxpool2d_forward(x, 2, 2, argmax);
+  EXPECT_EQ(out.storage()[0], 3.0f);
+  EXPECT_TRUE(std::isnan(out.storage()[1]));
+  EXPECT_EQ(argmax, (std::vector<std::int64_t>{1, 4}));
   Tensor gy(Shape{1, 2, 1, 1}, {7, 9});
-  auto gx = maxpool2d_backward(x.shape(), result.argmax, gy);
+  auto gx = maxpool2d_backward(x.shape(), argmax, gy);
   EXPECT_EQ(gx.storage(), (std::vector<float>{0, 7, 0, 0, 9, 0, 0, 0}));
 }
 
@@ -224,12 +329,91 @@ TEST(MaxPool, AllNegInfWindowPicksFirstElement) {
   const float ninf = -std::numeric_limits<float>::infinity();
   Tensor x(Shape{1, 1, 2, 4}, {1, 2, ninf, ninf,  //
                                3, 4, ninf, ninf});
-  auto result = maxpool2d_forward(x, 2, 2);
-  EXPECT_EQ(result.output.storage(), (std::vector<float>{4, ninf}));
-  EXPECT_EQ(result.argmax, (std::vector<std::int64_t>{5, 2}));
+  std::vector<std::int64_t> argmax;
+  auto out = maxpool2d_forward(x, 2, 2, argmax);
+  EXPECT_EQ(out.storage(), (std::vector<float>{4, ninf}));
+  EXPECT_EQ(argmax, (std::vector<std::int64_t>{5, 2}));
   Tensor gy(Shape{1, 1, 1, 2}, {10, 20});
-  auto gx = maxpool2d_backward(x.shape(), result.argmax, gy);
+  auto gx = maxpool2d_backward(x.shape(), argmax, gy);
   EXPECT_EQ(gx.storage(), (std::vector<float>{0, 0, 20, 0, 0, 10, 0, 0}));
+}
+
+// Every kernel/stride pair, including windows that overlap (stride 1),
+// touch (stride == kernel) and skip pixels (stride > kernel), on even and
+// odd extents whose trailing rows/columns do not fill a window.
+TEST(MaxPool, SweepMatchesReferenceBitwise) {
+  for (const int kernel : {2, 3}) {
+    for (const int stride : {1, 2, 3}) {
+      for (const auto& [h, w] : {std::pair{8, 6}, std::pair{7, 9}, std::pair{5, 5},
+                                 std::pair{11, 3}}) {
+        if (h < kernel || w < kernel) continue;
+        const Tensor x = pool_input(2, 3, h, w, 100 + kernel * 10 + stride);
+        std::vector<float> want;
+        std::vector<std::int64_t> want_arg;
+        maxpool_reference(x, kernel, stride, want, want_arg);
+        std::vector<std::int64_t> argmax;
+        const Tensor out = maxpool2d_forward(x, kernel, stride, argmax);
+        const std::string where = "k=" + std::to_string(kernel) + " s=" +
+                                  std::to_string(stride) + " " + std::to_string(h) + "x" +
+                                  std::to_string(w);
+        ASSERT_EQ(out.size(), want.size()) << where;
+        // Bitwise, so NaN outputs compare too.
+        EXPECT_EQ(std::memcmp(out.data().data(), want.data(), want.size() * sizeof(float)), 0)
+            << where;
+        EXPECT_EQ(argmax, want_arg) << where;
+      }
+    }
+  }
+}
+
+// The argmax buffer is rewritten, not appended to, when a caller reuses it
+// across calls of different sizes.
+TEST(MaxPool, ReusedArgmaxBufferIsRewritten) {
+  std::vector<std::int64_t> argmax(100, -5);
+  Tensor x(Shape{1, 1, 2, 2}, {1, 9, 3, 4});
+  maxpool2d_forward(x, 2, 2, argmax);
+  EXPECT_EQ(argmax, (std::vector<std::int64_t>{1}));
+}
+
+// Span-hoisted im2col/col2im against the per-element loops, including
+// padding >= kernel - 1 (rows and columns that are all padding) and
+// stride 2 (strided gathers and scatters).
+TEST(Im2col, SweepMatchesPerElementLoopsBitwise) {
+  Rng rng(77);
+  const int cin = 2;
+  for (const int kernel : {1, 3, 5}) {
+    for (const int padding : {0, 1, 2}) {
+      for (const int stride : {1, 2}) {
+        for (const auto& [h, w] : {std::pair{7, 9}, std::pair{6, 5}}) {
+          const Conv2dSpec spec{stride, padding};
+          const int ho = (h + 2 * padding - kernel) / stride + 1;
+          const int wo = (w + 2 * padding - kernel) / stride + 1;
+          if (ho <= 0 || wo <= 0) continue;
+          const std::string where = "k=" + std::to_string(kernel) + " p=" +
+                                    std::to_string(padding) + " s=" + std::to_string(stride) +
+                                    " " + std::to_string(h) + "x" + std::to_string(w);
+          const Tensor image = Tensor::randn(Shape{cin, h, w}, rng);
+          const std::size_t cols = static_cast<std::size_t>(cin) * kernel * kernel * ho * wo;
+          std::vector<float> got(cols, -3.0f), want(cols, -4.0f);
+          im2col(image.data().data(), cin, h, w, kernel, kernel, spec, ho, wo, got.data());
+          im2col_reference(image.data().data(), cin, h, w, kernel, kernel, spec, ho, wo,
+                           want.data());
+          EXPECT_EQ(got, want) << where;
+
+          // col2im accumulates onto a non-zero image; the order of the adds
+          // into each pixel must match too, so compare bitwise.
+          const Tensor col = Tensor::randn(Shape{static_cast<int>(cols)}, rng);
+          Tensor img_got = Tensor::randn(Shape{cin, h, w}, rng);
+          Tensor img_want = img_got;
+          col2im(col.data().data(), cin, h, w, kernel, kernel, spec, ho, wo,
+                 img_got.data().data());
+          col2im_reference(col.data().data(), cin, h, w, kernel, kernel, spec, ho, wo,
+                           img_want.data().data());
+          EXPECT_EQ(img_got.storage(), img_want.storage()) << where;
+        }
+      }
+    }
+  }
 }
 
 TEST(Softmax, RowsSumToOne) {
@@ -289,4 +473,28 @@ TEST(Im2colCache, ForwardCachedMatchesUncached) {
   auto g2 = conv2d_backward(x, w, gy, spec);
   EXPECT_EQ(g1.grad_weight.storage(), g2.grad_weight.storage());
   EXPECT_EQ(g1.grad_input.storage(), g2.grad_input.storage());
+}
+
+// The parameter-only backward gives the full call's weight and bias
+// gradients bit for bit, with and without pruned channels, and no input
+// gradient.
+TEST(Im2colCache, ParamOnlyBackwardMatchesFullBackward) {
+  Rng rng(12);
+  Tensor x = Tensor::randn(Shape{3, 2, 7, 7}, rng);
+  Tensor w = Tensor::randn(Shape{4, 2, 3, 3}, rng, 0.0f, 0.4f);
+  Tensor b = Tensor::randn(Shape{4}, rng);
+  const Conv2dSpec spec{1, 1};
+  const std::uint8_t active[4] = {1, 0, 1, 1};
+  for (const std::uint8_t* mask : {static_cast<const std::uint8_t*>(nullptr), active}) {
+    std::vector<float> cache;
+    auto y = conv2d_forward_cached(x, w, b, spec, cache, mask);
+    Tensor gy = Tensor::randn(y.shape(), rng);
+    auto full = conv2d_backward_cached(x, w, gy, spec, cache, mask);
+    auto params = conv2d_backward_cached(x, w, gy, spec, cache, mask,
+                                         /*want_grad_input=*/false);
+    EXPECT_EQ(params.grad_weight.storage(), full.grad_weight.storage());
+    EXPECT_EQ(params.grad_bias.storage(), full.grad_bias.storage());
+    EXPECT_EQ(params.grad_input.size(), 0u);
+    EXPECT_EQ(full.grad_input.shape(), x.shape());
+  }
 }

@@ -5,8 +5,10 @@
 // and an exact-grid case where even the int8 path must match bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -96,6 +98,36 @@ TEST(QuantPrimitives, QuantizeClampsOutOfRangeValues) {
   EXPECT_EQ(q[2], 0);
 }
 
+// NaN has no int8 code; it quantizes to 0 instead of going through the
+// undefined NaN-to-int cast. Long enough to run the vectorized loop body.
+TEST(QuantPrimitives, QuantizeNanGivesZero) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<float> x(37, 3.0f);
+  x[0] = nan;
+  x[9] = -nan;
+  x[36] = nan;
+  std::vector<std::int8_t> q(x.size());
+  tensor::quantize_s8(x.data(), x.size(), 1.0f, q.data());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(q[i], std::isnan(x[i]) ? 0 : 3) << "i=" << i;
+  }
+}
+
+// Finite inputs keep the plain clamp(rint(x / scale)) result bit for bit.
+TEST(QuantPrimitives, QuantizeFiniteMatchesRintClamp) {
+  common::Rng rng(12);
+  std::vector<float> x(1003);
+  for (auto& v : x) v = static_cast<float>(rng.normal()) * 90.0f;
+  const float scale = 0.7f;
+  std::vector<std::int8_t> q(x.size());
+  tensor::quantize_s8(x.data(), x.size(), scale, q.data());
+  const float inv = 1.0f / scale;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const float want = std::clamp(std::rintf(x[i] * inv), -127.0f, 127.0f);
+    EXPECT_EQ(q[i], static_cast<std::int8_t>(want)) << "i=" << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // int8 GEMM vs the scalar oracle
 
@@ -119,6 +151,25 @@ TEST(GemmS8, MatchesReferenceAcrossShapes) {
     // produces and far below what a wrong kernel would produce.
     EXPECT_LT(rel_error(ref, got), 0.02f) << "m=" << m << " k=" << k << " n=" << n;
   }
+}
+
+// A NaN in B quantizes to 0 in the full-width AVX2 pack and in the scalar
+// pack of the ragged last sliver alike: the product equals the one with
+// those entries set to 0.
+TEST(GemmS8, NanInBQuantizesToZeroInEveryPack) {
+  const int m = 8, k = 20, n = 37;
+  const auto a = random_matrix(m, k, 41);
+  auto b = random_matrix(k, n, 42);
+  auto b_zero = b;
+  for (const int idx : {0, 5 * n + 3, 7 * n + n - 1, 19 * n + 33}) {
+    b[static_cast<std::size_t>(idx)] = std::numeric_limits<float>::quiet_NaN();
+    b_zero[static_cast<std::size_t>(idx)] = 0.0f;
+  }
+  const auto pa = tensor::pack_a_int8(a.data(), k, m, k, /*per_channel=*/true);
+  std::vector<float> got(static_cast<std::size_t>(m) * n), want(got.size());
+  tensor::gemm_s8(pa, n, b.data(), n, got.data(), n, false);
+  tensor::gemm_s8(pa, n, b_zero.data(), n, want.data(), n, false);
+  EXPECT_EQ(got, want);
 }
 
 TEST(GemmS8, PerTensorScalesStayWithinLooserBound) {

@@ -5,6 +5,7 @@
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
+#include "nn/loss.h"
 #include "nn/model_zoo.h"
 
 using namespace fedcleanse;
@@ -107,6 +108,51 @@ TEST(Sequential, ZeroGradClearsAll) {
   spec.net.zero_grad();
   for (auto& p : spec.net.params()) {
     for (float g : p.grad->data()) EXPECT_EQ(g, 0.0f);
+  }
+}
+
+// Training's backward_params skips dLoss/dInput at layer 0 but must leave
+// every parameter gradient bit-identical to backward()'s, on every zoo
+// architecture, with and without pruned channels (in layer 0 and in the
+// pruning layer). backward() itself still returns dLoss/dInput, which Neural
+// Cleanse optimizes its trigger with.
+TEST(Sequential, BackwardParamsMatchesBackwardBitwise) {
+  for (auto arch : {Architecture::kMnistCnn, Architecture::kFashionCnn,
+                    Architecture::kVggSmall, Architecture::kSmallNn,
+                    Architecture::kLargeNn}) {
+    for (const bool pruned : {false, true}) {
+      Rng rng(21);
+      auto spec = make_model(arch, rng);
+      if (pruned) {
+        spec.net.layer(0).set_unit_active(1, false);
+        spec.net.layer(spec.last_conv_index).set_unit_active(0, false);
+        spec.net.layer(spec.last_conv_index).set_unit_active(3, false);
+      }
+      auto x = tensor::Tensor::rand_uniform(
+          tensor::Shape{4, spec.input_shape[0], spec.input_shape[1], spec.input_shape[2]},
+          rng, 0.0f, 1.0f);
+      const std::vector<int> labels{0, 3, 9, 3};
+      Sequential full = spec.net.clone();
+      Sequential params_only = spec.net.clone();
+
+      SoftmaxCrossEntropy loss;
+      loss.forward_probs(full.forward_probs(x), labels);
+      const auto dx = full.backward(loss.backward());
+      loss.forward_probs(params_only.forward_probs(x), labels);
+      params_only.backward_params(loss.backward());
+
+      const std::string where = std::string(arch_name(arch)) + (pruned ? " pruned" : "");
+      const auto want = full.params();
+      const auto got = params_only.params();
+      ASSERT_EQ(got.size(), want.size()) << where;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].grad->storage(), want[i].grad->storage()) << where << " param " << i;
+      }
+      EXPECT_EQ(dx.shape(), x.shape()) << where;
+      bool any_nonzero = false;
+      for (float v : dx.data()) any_nonzero = any_nonzero || v != 0.0f;
+      EXPECT_TRUE(any_nonzero) << where;
+    }
   }
 }
 

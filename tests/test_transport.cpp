@@ -301,6 +301,9 @@ TEST(SchedulerTest, RegistrationAfterShutdownIsRejected) {
   // The server announces end-of-run...
   Socket raw = connect_to("127.0.0.1", scheduler.port(), 2000);
   send_frame(raw, tagged(MessageType::kShutdown, 0));
+  // Each connection has its own handler thread: wait until the shutdown is
+  // recorded, or the registration below can race ahead of it.
+  scheduler.run_until_shutdown();
   // ...after which a late registration must be nacked, not recorded:
   // accepting it would strand a node waiting on a run that is already over.
   RegisterInfo info;
