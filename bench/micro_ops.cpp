@@ -106,7 +106,7 @@ bench::MicroRecord matmul(common::ThreadPool& pool, int n) {
 // Quantized GEMM rows at convolution-shaped problems (m=cout, k=cin·kh·kw,
 // n=ho·wo). The f32/int8 pair shares op+size so bench_compare.py can track
 // the quantized speedup row-for-row. The int8 row times the real scan
-// path: the weight operand is packed+quantized once (as conv2d_forward_quant
+// path: the weight operand is packed+quantized once (as conv2d_infer
 // does per batch), the activation operand quantizes inside the call.
 bench::MicroRecord qgemm_f32(common::ThreadPool& pool, int m, int k, int n) {
   common::Rng rng(3);

@@ -172,7 +172,7 @@ TriggerResult reverse_trigger(nn::ModelSpec& model, const data::Dataset& clean_d
                                      all.begin() + static_cast<std::ptrdiff_t>(end));
       auto batch = clean_data.make_batch(chunk);
       auto patched = blend(batch.images, best.mask, best.pattern);
-      auto preds = tensor::argmax_rows(model.net.forward(patched));
+      auto preds = tensor::argmax_rows(model.net.infer(patched));
       for (int p : preds) {
         if (p == target_label) ++flipped;
       }
@@ -225,7 +225,7 @@ NeuralCleanseReport run_neural_cleanse(nn::ModelSpec& model, const data::Dataset
                                        all.begin() + static_cast<std::ptrdiff_t>(end));
         auto batch = clean_data.make_batch(chunk);
         auto patched = blend(batch.images, trig.mask, trig.pattern);
-        model.net.forward_with_tap(patched, model.tap_index, tapped);
+        model.net.infer(patched, model.tap_index, &tapped);
         acc.add_batch(tapped);
       }
       auto means = acc.means();

@@ -125,9 +125,25 @@ void set_ambient_pool(ThreadPool* pool) {
   g_ambient_pool.store(pool, std::memory_order_release);
 }
 
-void ambient_parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
+namespace {
+
+// The ambient pool when a call from this thread can fan out on it: one is
+// installed, it has more than one worker, and we are not one of them.
+ThreadPool* usable_ambient_pool() {
   ThreadPool* pool = ambient_pool();
-  if (pool != nullptr && pool->size() > 1 && n > 1 && !pool->on_worker_thread()) {
+  return pool != nullptr && pool->size() > 1 && !pool->on_worker_thread() ? pool : nullptr;
+}
+
+}  // namespace
+
+std::size_t ambient_parallelism() {
+  ThreadPool* pool = usable_ambient_pool();
+  return pool != nullptr ? pool->size() : 1;
+}
+
+void ambient_parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
+  ThreadPool* pool = usable_ambient_pool();
+  if (pool != nullptr && n > 1) {
     pool->parallel_for(n, fn);
     return;
   }

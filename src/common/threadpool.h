@@ -84,5 +84,8 @@ void set_ambient_pool(ThreadPool* pool);
 // depend on the execution order, which keeps every code path bit-identical
 // to the serial run.
 void ambient_parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
+// How many threads an ambient_parallel_for issued from this thread would
+// use: the pool's size, or 1 where it runs serially.
+std::size_t ambient_parallelism();
 
 }  // namespace fedcleanse::common

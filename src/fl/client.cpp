@@ -134,7 +134,7 @@ std::vector<double> Client::activation_means(std::span<const float> global_param
   tensor::Tensor tapped;
   for (const auto& batch_indices : data_.shuffled_batches(config_.batch_size, rng_)) {
     auto batch = data_.make_batch(batch_indices);
-    model_.net.forward_with_tap(batch.images, model_.tap_index, tapped, config_.scan_kernel);
+    model_.net.infer(batch.images, model_.tap_index, &tapped, config_.scan_kernel);
     acc.add_batch(tapped);
   }
   return acc.means();
@@ -160,7 +160,7 @@ std::vector<double> Client::backdoor_neuron_scores() {
     tensor::Tensor tapped;
     for (const auto& batch_indices : ds.shuffled_batches(config_.batch_size, rng_)) {
       auto batch = ds.make_batch(batch_indices);
-      model_.net.forward_with_tap(batch.images, model_.tap_index, tapped, config_.scan_kernel);
+      model_.net.infer(batch.images, model_.tap_index, &tapped, config_.scan_kernel);
       acc.add_batch(tapped);
     }
     return acc.means();

@@ -22,6 +22,14 @@ comm::Message server_message(comm::MessageType type, std::uint32_t round,
   return m;
 }
 
+// A fan-out is one stamped message copied to every recipient, so the
+// payload is checksummed once, not once per client.
+void send_to_all(comm::Network& net, const std::vector<int>& clients, comm::MessageType type,
+                 std::uint32_t round, std::vector<std::uint8_t> payload) {
+  const comm::Message m = server_message(type, round, std::move(payload));
+  for (int c : clients) net.send_to_client(c, m);
+}
+
 // Drain one client's channel until a valid reply of the expected type and
 // round appears or the deadline passes. Mistyped, stale, duplicate, and
 // undecodable messages are logged (with the client id and the type actually
@@ -108,10 +116,8 @@ Server::Server(nn::ModelSpec model, data::Dataset validation, comm::Network& net
 }
 
 void Server::broadcast_model(const std::vector<int>& clients, std::uint32_t round) {
-  const auto payload = comm::encode_flat_params(params());
-  for (int c : clients) {
-    net_.send_to_client(c, server_message(comm::MessageType::kModelBroadcast, round, payload));
-  }
+  send_to_all(net_, clients, comm::MessageType::kModelBroadcast, round,
+              comm::encode_flat_params(params()));
 }
 
 std::vector<std::optional<std::vector<float>>> Server::collect_updates(
@@ -163,10 +169,8 @@ void Server::apply_aggregate(const std::vector<int>& client_ids,
 }
 
 void Server::request_ranks(const std::vector<int>& clients, std::uint32_t round) {
-  const auto payload = comm::encode_flat_params(params());
-  for (int c : clients) {
-    net_.send_to_client(c, server_message(comm::MessageType::kRankRequest, round, payload));
-  }
+  send_to_all(net_, clients, comm::MessageType::kRankRequest, round,
+              comm::encode_flat_params(params()));
 }
 
 std::vector<std::optional<std::vector<std::uint32_t>>> Server::collect_ranks(
@@ -182,10 +186,7 @@ void Server::request_votes(const std::vector<int>& clients, double prune_rate,
   common::ByteWriter w;
   w.write_f64(prune_rate);
   w.write_f32_vector(params());
-  const auto payload = w.take();
-  for (int c : clients) {
-    net_.send_to_client(c, server_message(comm::MessageType::kVoteRequest, round, payload));
-  }
+  send_to_all(net_, clients, comm::MessageType::kVoteRequest, round, w.take());
 }
 
 std::vector<std::optional<std::vector<std::uint8_t>>> Server::collect_votes(
@@ -197,26 +198,18 @@ std::vector<std::optional<std::vector<std::uint8_t>>> Server::collect_votes(
 }
 
 void Server::broadcast_masks(const std::vector<int>& clients, std::uint32_t round) {
-  const auto payload = comm::encode_masks(model_.net.prune_masks());
-  for (int c : clients) {
-    net_.send_to_client(c, server_message(comm::MessageType::kMaskBroadcast, round, payload));
-  }
+  send_to_all(net_, clients, comm::MessageType::kMaskBroadcast, round,
+              comm::encode_masks(model_.net.prune_masks()));
 }
 
 void Server::broadcast_lr_scale(const std::vector<int>& clients, double factor,
                                 std::uint32_t round) {
-  const auto payload = comm::encode_lr_scale(factor);
-  for (int c : clients) {
-    net_.send_to_client(c, server_message(comm::MessageType::kLrScale, round, payload));
-  }
+  send_to_all(net_, clients, comm::MessageType::kLrScale, round, comm::encode_lr_scale(factor));
 }
 
 void Server::request_accuracies(const std::vector<int>& clients, std::uint32_t round) {
-  const auto payload = comm::encode_flat_params(params());
-  for (int c : clients) {
-    net_.send_to_client(c,
-                        server_message(comm::MessageType::kAccuracyRequest, round, payload));
-  }
+  send_to_all(net_, clients, comm::MessageType::kAccuracyRequest, round,
+              comm::encode_flat_params(params()));
 }
 
 std::vector<std::optional<double>> Server::collect_accuracies(
@@ -239,11 +232,8 @@ void Server::broadcast_round_sync(const std::vector<int>& clients, std::uint32_t
   comm::RoundSync sync;
   sync.epoch = epoch;
   sync.next_round = next_round;
-  const auto payload = comm::encode_round_sync(sync);
   const auto round = static_cast<std::uint32_t>(next_round);
-  for (int c : clients) {
-    net_.send_to_client(c, server_message(comm::MessageType::kRoundSync, round, payload));
-  }
+  send_to_all(net_, clients, comm::MessageType::kRoundSync, round, comm::encode_round_sync(sync));
 }
 
 std::vector<std::optional<comm::RoundSync>> Server::collect_round_sync_acks(

@@ -8,7 +8,9 @@ namespace fedcleanse::nn {
 class ReLU : public Layer {
  public:
   Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor infer(const Tensor& x) const override;
+  // Masks the gradient in place.
+  Tensor backward(Tensor grad_out) override;
   // When the preceding layer fused this ReLU into its epilogue, the post-relu
   // output stands in for the cached input: gating grad on y = relu(x) instead
   // of x is bit-identical (x > 0 ⇔ y > 0, and both ±0 block the gradient).
@@ -24,7 +26,8 @@ class ReLU : public Layer {
 class Flatten : public Layer {
  public:
   Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor infer(const Tensor& x) const override;
+  Tensor backward(Tensor grad_out) override;
   std::unique_ptr<Layer> clone() const override { return std::make_unique<Flatten>(*this); }
   std::string name() const override { return "Flatten"; }
 

@@ -23,21 +23,28 @@ Conv2d::Conv2d(int in_channels, int out_channels, int kernel, common::Rng& rng, 
   bias_.fill(0.0f);
 }
 
-Tensor Conv2d::forward(const Tensor& x) {
-  return forward_conv(x, /*fuse_relu=*/false, tensor::ComputeKernel::kF32);
-}
+Tensor Conv2d::forward(const Tensor& x) { return forward_conv(x, /*fuse_relu=*/false); }
 
-Tensor Conv2d::forward_conv(const Tensor& x, bool fuse_relu, tensor::ComputeKernel kernel) {
+Tensor Conv2d::forward_conv(const Tensor& x, bool fuse_relu) {
   input_cache_ = x;
   // Pruned channels are skipped inside the packed GEMM (and written as exact
   // zeros) rather than zeroed in a second pass over the output.
-  return tensor::conv2d_forward_quant(x, weight_, bias_, spec_, col_cache_, kernel,
-                                      fuse_relu, any_pruned_ ? active_.data() : nullptr);
+  return tensor::conv2d_forward_cached(x, weight_, bias_, spec_, col_cache_,
+                                       any_pruned_ ? active_.data() : nullptr, fuse_relu);
 }
 
-Tensor Conv2d::backward(const Tensor& grad_out) { return accumulate_grads(grad_out, true); }
+Tensor Conv2d::infer(const Tensor& x) const {
+  return infer_conv(x, /*fuse_relu=*/false, tensor::ComputeKernel::kF32);
+}
 
-void Conv2d::backward_params(const Tensor& grad_out) { (void)accumulate_grads(grad_out, false); }
+Tensor Conv2d::infer_conv(const Tensor& x, bool fuse_relu, tensor::ComputeKernel kernel) const {
+  return tensor::conv2d_infer(x, weight_, bias_, spec_, kernel, fuse_relu,
+                              any_pruned_ ? active_.data() : nullptr);
+}
+
+Tensor Conv2d::backward(Tensor grad_out) { return accumulate_grads(grad_out, true); }
+
+void Conv2d::backward_params(Tensor grad_out) { (void)accumulate_grads(grad_out, false); }
 
 Tensor Conv2d::accumulate_grads(const Tensor& grad_out, bool want_grad_input) {
   // The channel mask makes the kernel drop pruned channels from every

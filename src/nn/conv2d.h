@@ -16,13 +16,16 @@ class Conv2d : public Layer {
          int padding = 0);
 
   Tensor forward(const Tensor& x) override;
-  // Forward with an optional fused ReLU epilogue (bit-identical to a
-  // trailing nn::ReLU) and a per-call compute kernel for the quantized
-  // scan paths. forward(x) ≡ forward_conv(x, false, kF32).
-  Tensor forward_conv(const Tensor& x, bool fuse_relu, tensor::ComputeKernel kernel);
-  Tensor backward(const Tensor& grad_out) override;
+  // Forward with an optional fused ReLU epilogue, bit-identical to a
+  // trailing nn::ReLU. forward(x) ≡ forward_conv(x, false).
+  Tensor forward_conv(const Tensor& x, bool fuse_relu);
+  Tensor infer(const Tensor& x) const override;
+  // infer with the same optional ReLU epilogue and a per-call compute kernel
+  // for the quantized scan paths. infer(x) ≡ infer_conv(x, false, kF32).
+  Tensor infer_conv(const Tensor& x, bool fuse_relu, tensor::ComputeKernel kernel) const;
+  Tensor backward(Tensor grad_out) override;
   // Skips the gcol GEMM, the col2im scatter and the grad_input allocation.
-  void backward_params(const Tensor& grad_out) override;
+  void backward_params(Tensor grad_out) override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "Conv2d"; }

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/tensor.h"
@@ -28,13 +29,18 @@ class Layer {
 
   // Compute the layer output and cache whatever backward will need.
   virtual Tensor forward(const Tensor& x) = 0;
+  // The same output as forward, bit for bit, for a pass that never runs
+  // backward: it reads parameters and masks only and writes no member, so
+  // any number of threads may run it on one shared layer.
+  virtual Tensor infer(const Tensor& x) const = 0;
   // Given dLoss/dOutput, accumulate parameter gradients and return
-  // dLoss/dInput. Must be called after forward on the same input.
-  virtual Tensor backward(const Tensor& grad_out) = 0;
+  // dLoss/dInput. Must be called after forward on the same input. The
+  // gradient is taken by value so a layer may reuse its storage.
+  virtual Tensor backward(Tensor grad_out) = 0;
   // Accumulate parameter gradients only, for a layer whose dLoss/dInput no
   // one reads (the first layer of a training step). Layers that can skip the
   // input gradient override this; the default runs backward and drops it.
-  virtual void backward_params(const Tensor& grad_out) { (void)backward(grad_out); }
+  virtual void backward_params(Tensor grad_out) { (void)backward(std::move(grad_out)); }
 
   virtual std::vector<ParamRef> params() { return {}; }
   virtual std::unique_ptr<Layer> clone() const = 0;

@@ -22,10 +22,15 @@ Linear::Linear(int in_features, int out_features, common::Rng& rng)
 }
 
 Tensor Linear::forward(const Tensor& x) {
+  Tensor y = infer(x);
+  input_cache_ = x;
+  return y;
+}
+
+Tensor Linear::infer(const Tensor& x) const {
   FC_REQUIRE(x.shape().rank() == 2 && x.shape()[1] == in_features_,
              "Linear forward expects [N," + std::to_string(in_features_) + "], got " +
                  x.shape().to_string());
-  input_cache_ = x;
   const int n = x.shape()[0];
   if (!any_pruned_) {
     // Bias rides in the GEMM's col_bias epilogue — the same c + b[j] float
@@ -65,7 +70,7 @@ Tensor Linear::forward_softmax(const Tensor& x) {
   return y;
 }
 
-Tensor Linear::backward(const Tensor& grad_out) {
+Tensor Linear::backward(Tensor grad_out) {
   FC_REQUIRE(grad_out.shape().rank() == 2 && grad_out.shape()[1] == out_features_,
              "Linear backward grad shape mismatch");
   // Pruned units contribute no gradient anywhere: instead of zeroing a copy

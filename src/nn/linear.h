@@ -12,11 +12,12 @@ class Linear : public Layer {
   Linear(int in_features, int out_features, common::Rng& rng);
 
   Tensor forward(const Tensor& x) override;
+  Tensor infer(const Tensor& x) const override;
   // Forward fused with row softmax: returns softmax(x·Wᵀ + b), bit-identical
   // to forward() followed by tensor::softmax_rows. Used by the classifier
   // head so logits never round-trip through memory.
   Tensor forward_softmax(const Tensor& x);
-  Tensor backward(const Tensor& grad_out) override;
+  Tensor backward(Tensor grad_out) override;
   std::vector<ParamRef> params() override;
   std::unique_ptr<Layer> clone() const override;
   std::string name() const override { return "Linear"; }

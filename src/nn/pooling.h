@@ -14,7 +14,9 @@ class MaxPool2d : public Layer {
   }
 
   Tensor forward(const Tensor& x) override;
-  Tensor backward(const Tensor& grad_out) override;
+  // Maxima only: no argmax, which only backward reads.
+  Tensor infer(const Tensor& x) const override;
+  Tensor backward(Tensor grad_out) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<MaxPool2d>(*this);
   }

@@ -13,8 +13,7 @@ int Sequential::add(std::unique_ptr<Layer> layer) {
   return static_cast<int>(layers_.size()) - 1;
 }
 
-Tensor Sequential::run_forward(const Tensor& x, int tap_index, Tensor* tap_out,
-                               tensor::ComputeKernel kernel, bool fuse_softmax) {
+Tensor Sequential::run_forward(const Tensor& x, bool fuse_softmax) {
   Tensor cur = x;
   const int n = size();
   int i = 0;
@@ -22,17 +21,13 @@ Tensor Sequential::run_forward(const Tensor& x, int tap_index, Tensor* tap_out,
     Layer* layer = layers_[static_cast<std::size_t>(i)].get();
     if (auto* conv = dynamic_cast<Conv2d*>(layer)) {
       // Conv2d+ReLU peephole: run the ReLU as the conv GEMM's epilogue and
-      // hand the ReLU its output for backward. Suppressed when the tap wants
-      // this conv's pre-activation values.
-      auto* relu = i + 1 < n && tap_index != i
-                       ? dynamic_cast<ReLU*>(layers_[static_cast<std::size_t>(i) + 1].get())
-                       : nullptr;
-      cur = conv->forward_conv(cur, relu != nullptr, kernel);
+      // hand the ReLU its output for backward.
+      auto* relu = i + 1 < n ? dynamic_cast<ReLU*>(layers_[static_cast<std::size_t>(i) + 1].get())
+                             : nullptr;
+      cur = conv->forward_conv(cur, relu != nullptr);
       if (relu != nullptr) {
         relu->adopt_output(cur);
-        if (tap_index == i + 1 && tap_out != nullptr) *tap_out = cur;
-        i += 2;
-        continue;
+        ++i;
       }
     } else {
       if (fuse_softmax && i == n - 1) {
@@ -40,47 +35,55 @@ Tensor Sequential::run_forward(const Tensor& x, int tap_index, Tensor* tap_out,
       }
       cur = layer->forward(cur);
     }
-    if (tap_index == i && tap_out != nullptr) *tap_out = cur;
     ++i;
   }
   return fuse_softmax ? tensor::softmax_rows(cur) : cur;
 }
 
-Tensor Sequential::forward(const Tensor& x) {
-  return run_forward(x, -1, nullptr, tensor::ComputeKernel::kF32, false);
-}
+Tensor Sequential::forward(const Tensor& x) { return run_forward(x, false); }
 
-Tensor Sequential::forward(const Tensor& x, tensor::ComputeKernel kernel) {
-  return run_forward(x, -1, nullptr, kernel, false);
-}
+Tensor Sequential::forward_probs(const Tensor& x) { return run_forward(x, true); }
 
-Tensor Sequential::forward_with_tap(const Tensor& x, int tap_index, Tensor& tap_out) {
-  return forward_with_tap(x, tap_index, tap_out, tensor::ComputeKernel::kF32);
-}
-
-Tensor Sequential::forward_with_tap(const Tensor& x, int tap_index, Tensor& tap_out,
-                                    tensor::ComputeKernel kernel) {
-  FC_REQUIRE(tap_index >= 0 && tap_index < size(), "tap index out of range");
-  return run_forward(x, tap_index, &tap_out, kernel, false);
-}
-
-Tensor Sequential::forward_probs(const Tensor& x) {
-  return run_forward(x, -1, nullptr, tensor::ComputeKernel::kF32, true);
-}
-
-Tensor Sequential::backward(const Tensor& grad_out) {
-  Tensor cur = grad_out;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    cur = (*it)->backward(cur);
+Tensor Sequential::infer(const Tensor& x, int tap_index, Tensor* tap_out,
+                         tensor::ComputeKernel kernel) const {
+  FC_REQUIRE(tap_out == nullptr || (tap_index >= 0 && tap_index < size()),
+             "tap index out of range");
+  if (tap_out == nullptr) tap_index = -1;
+  const int n = size();
+  Tensor cur;
+  const Tensor* in = &x;  // the caller's input is read, never copied
+  for (int i = 0; i < n; ++i) {
+    const Layer& layer = *layers_[static_cast<std::size_t>(i)];
+    if (const auto* conv = dynamic_cast<const Conv2d*>(&layer)) {
+      // The same Conv2d+ReLU fusion as forward(), unless the tap wants this
+      // conv's pre-activation values.
+      const bool fuse = i + 1 < n && tap_index != i &&
+                        dynamic_cast<const ReLU*>(layers_[static_cast<std::size_t>(i) + 1].get());
+      cur = conv->infer_conv(*in, fuse, kernel);
+      if (fuse) ++i;  // the ReLU ran as the epilogue
+    } else {
+      cur = layer.infer(*in);
+    }
+    in = &cur;
+    if (i == tap_index) *tap_out = cur;
   }
+  if (n == 0) return x;
   return cur;
 }
 
-void Sequential::backward_params(const Tensor& grad_out) {
+Tensor Sequential::backward(Tensor grad_out) {
+  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+    grad_out = (*it)->backward(std::move(grad_out));
+  }
+  return grad_out;
+}
+
+void Sequential::backward_params(Tensor grad_out) {
   FC_REQUIRE(!layers_.empty(), "backward on an empty model");
-  Tensor cur = grad_out;
-  for (std::size_t i = layers_.size() - 1; i > 0; --i) cur = layers_[i]->backward(cur);
-  layers_.front()->backward_params(cur);
+  for (std::size_t i = layers_.size() - 1; i > 0; --i) {
+    grad_out = layers_[i]->backward(std::move(grad_out));
+  }
+  layers_.front()->backward_params(std::move(grad_out));
 }
 
 void Sequential::zero_grad() {

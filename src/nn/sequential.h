@@ -30,28 +30,30 @@ class Sequential {
   Layer& layer(int i) { return *layers_[static_cast<std::size_t>(i)]; }
   const Layer& layer(int i) const { return *layers_[static_cast<std::size_t>(i)]; }
 
-  // Forward fuses Conv2d+ReLU pairs into a single GEMM-with-epilogue step
-  // (bit-identical to running the layers separately). The ComputeKernel
-  // overloads run convolutions under a reduced-precision kernel — opt-in,
-  // used only by the defense's activation-profiling scans.
+  // The training forward: every layer caches what backward needs. Conv2d+ReLU
+  // pairs fuse into a single GEMM-with-epilogue step (bit-identical to
+  // running the layers separately).
   Tensor forward(const Tensor& x);
-  Tensor forward(const Tensor& x, tensor::ComputeKernel kernel);
-  // Forward that additionally copies the output of layer `tap_index` into
-  // `tap_out` (used to record activations at the pruning layer). A tap on a
-  // Conv2d whose ReLU would be fused suppresses that fusion so the tapped
-  // values stay pre-activation.
-  Tensor forward_with_tap(const Tensor& x, int tap_index, Tensor& tap_out);
-  Tensor forward_with_tap(const Tensor& x, int tap_index, Tensor& tap_out,
-                          tensor::ComputeKernel kernel);
   // Forward with the classifier head's softmax fused into its GEMM: returns
   // row probabilities, bit-identical to softmax_rows over forward()'s
   // logits. The training loop pairs it with SoftmaxCrossEntropy::forward_probs.
   Tensor forward_probs(const Tensor& x);
-  // Backpropagate from dLoss/dOutput; returns dLoss/dInput.
-  Tensor backward(const Tensor& grad_out);
+  // The forward for passes that never run backward (evaluation, activation
+  // scans): forward()'s output bit for bit, but const — it reads parameters
+  // and masks only, keeps no caches and takes its scratch from the calling
+  // thread's Workspace, so any number of threads may run it on one shared
+  // model. With `tap_out`, the output of layer `tap_index` is copied there
+  // as well; a tap on a Conv2d suppresses its ReLU fusion so the tapped
+  // values stay pre-activation. `kernel` picks the convolutions' GEMM; kInt8
+  // is the defense scans' reduced-precision opt-in.
+  Tensor infer(const Tensor& x, int tap_index = -1, Tensor* tap_out = nullptr,
+               tensor::ComputeKernel kernel = tensor::ComputeKernel::kF32) const;
+  // Backpropagate from dLoss/dOutput; returns dLoss/dInput. The gradient
+  // moves through the layers, so an rvalue argument is never copied.
+  Tensor backward(Tensor grad_out);
   // The training backward: the same parameter gradients as backward(), bit
   // for bit, but layer 0 computes no dLoss/dInput, which training never reads.
-  void backward_params(const Tensor& grad_out);
+  void backward_params(Tensor grad_out);
 
   void zero_grad();
   std::vector<ParamRef> params();
@@ -68,10 +70,8 @@ class Sequential {
   Sequential clone() const;
 
  private:
-  // Shared driver behind every forward variant: optional tap, per-call conv
-  // kernel, optional fused-softmax head.
-  Tensor run_forward(const Tensor& x, int tap_index, Tensor* tap_out,
-                     tensor::ComputeKernel kernel, bool fuse_softmax);
+  // Shared driver behind forward and forward_probs.
+  Tensor run_forward(const Tensor& x, bool fuse_softmax);
 
   std::vector<std::unique_ptr<Layer>> layers_;
 };

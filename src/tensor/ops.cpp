@@ -131,14 +131,16 @@ ConvDims conv_dims(const Tensor& input, const Tensor& weight, const Conv2dSpec& 
   return d;
 }
 
-}  // namespace
-
-Tensor conv2d_forward_cached(const Tensor& input, const Tensor& weight, const Tensor& bias,
-                             const Conv2dSpec& spec, std::vector<float>& col_cache,
-                             const std::uint8_t* channel_active, bool fuse_relu) {
+// Shared conv forward. `col_cache`, when non-null, receives the unfolded
+// batch ([N][kdim·pdim]) for the training backward; when null, each sample
+// unfolds into scratch from its executing thread's Workspace, released
+// before the next sample, so inference keeps no batch-sized buffer.
+Tensor conv2d_forward_impl(const Tensor& input, const Tensor& weight, const Tensor& bias,
+                           const Conv2dSpec& spec, float* col_cache, ComputeKernel kernel,
+                           bool fuse_relu, const std::uint8_t* channel_active) {
   const ConvDims d = conv_dims(input, weight, spec);
   FC_REQUIRE(bias.shape().rank() == 1 && bias.shape()[0] == d.cout, "conv2d bias mismatch");
-  col_cache.resize(static_cast<std::size_t>(d.n) * d.kdim * d.pdim);
+  const bool int8 = kernel == ComputeKernel::kInt8 && d.pdim <= kGemmNC;
 
   Tensor out(Shape{d.n, d.cout, d.ho, d.wo});
   const auto in = input.data();
@@ -146,16 +148,26 @@ Tensor conv2d_forward_cached(const Tensor& input, const Tensor& weight, const Te
   const auto bs = bias.data();
   auto ov = out.data();
   const GemmMask mask{channel_active, nullptr};
+  const std::size_t col_size = static_cast<std::size_t>(d.kdim) * d.pdim;
+
+  // int8: weights quantize once per call and are shared read-only by every
+  // sample; gemm_s8 is serial, so the batch loop provides the parallelism.
+  const PackedInt8A pa = int8 ? pack_a_int8(wt.data(), d.kdim, d.cout, d.kdim,
+                                            /*per_channel=*/true)
+                              : PackedInt8A{};
 
   // Each sample owns a disjoint slice of the column cache and of the output,
   // so the batch dimension parallelizes without reordering any float op.
   common::ambient_parallel_for(static_cast<std::size_t>(d.n), [&](std::size_t sample) {
-    const int b = static_cast<int>(sample);
-    float* col = &col_cache[static_cast<std::size_t>(b) * d.kdim * d.pdim];
-    im2col(&in[static_cast<std::size_t>(b) * d.cin * d.h * d.w], d.cin, d.h, d.w, d.kh, d.kw,
-           spec, d.ho, d.wo, col);
-    float* osample = &ov[static_cast<std::size_t>(b) * d.cout * d.pdim];
-    if (channel_active == nullptr) {
+    Workspace& ws = Workspace::tls();
+    const Workspace::Mark smark = ws.mark();
+    float* col = col_cache != nullptr ? col_cache + sample * col_size : ws.alloc_floats(col_size);
+    im2col(&in[sample * d.cin * d.h * d.w], d.cin, d.h, d.w, d.kh, d.kw, spec, d.ho, d.wo, col);
+    float* osample = &ov[sample * d.cout * d.pdim];
+    if (int8) {
+      gemm_s8(pa, d.pdim, col, d.pdim, osample, d.pdim, /*accumulate=*/false,
+              GemmEpilogue{bs.data(), nullptr, fuse_relu});
+    } else if (channel_active == nullptr) {
       // out[oc, :] = bias[oc] + weight[oc, :] · col, bias carried in as the
       // GEMM's row_bias epilogue (bit-identical to prefill + accumulate).
       gemm(false, false, d.cout, d.pdim, d.kdim, wt.data(), d.kdim, col, d.pdim, osample,
@@ -171,51 +183,59 @@ Tensor conv2d_forward_cached(const Tensor& input, const Tensor& weight, const Te
       gemm(false, false, d.cout, d.pdim, d.kdim, wt.data(), d.kdim, col, d.pdim, osample,
            d.pdim, /*accumulate=*/true, mask, GemmEpilogue{nullptr, nullptr, fuse_relu});
     }
+    ws.release(smark);
   });
   return out;
 }
 
-Tensor conv2d_forward_quant(const Tensor& input, const Tensor& weight, const Tensor& bias,
-                            const Conv2dSpec& spec, std::vector<float>& col_cache,
-                            ComputeKernel kernel, bool fuse_relu,
-                            const std::uint8_t* channel_active) {
+}  // namespace
+
+Tensor conv2d_forward_cached(const Tensor& input, const Tensor& weight, const Tensor& bias,
+                             const Conv2dSpec& spec, std::vector<float>& col_cache,
+                             const std::uint8_t* channel_active, bool fuse_relu) {
   const ConvDims d = conv_dims(input, weight, spec);
-  if (kernel == ComputeKernel::kF32 || d.pdim > kGemmNC) {
-    return conv2d_forward_cached(input, weight, bias, spec, col_cache, channel_active,
-                                 fuse_relu);
-  }
-  FC_REQUIRE(bias.shape().rank() == 1 && bias.shape()[0] == d.cout, "conv2d bias mismatch");
   col_cache.resize(static_cast<std::size_t>(d.n) * d.kdim * d.pdim);
+  return conv2d_forward_impl(input, weight, bias, spec, col_cache.data(), ComputeKernel::kF32,
+                             fuse_relu, channel_active);
+}
 
-  Tensor out(Shape{d.n, d.cout, d.ho, d.wo});
-  const auto in = input.data();
-  const auto wt = weight.data();
-  const auto bs = bias.data();
-  auto ov = out.data();
-  const GemmEpilogue epi{bs.data(), nullptr, fuse_relu};
-
-  // Weights quantize once per call and are shared read-only by every sample;
-  // gemm_s8 is serial, so the batch loop provides the parallelism (disjoint
-  // outputs, deterministic per-sample float sequences).
-  const PackedInt8A pa = pack_a_int8(wt.data(), d.kdim, d.cout, d.kdim, /*per_channel=*/true);
-  common::ambient_parallel_for(static_cast<std::size_t>(d.n), [&](std::size_t sample) {
-    const int b = static_cast<int>(sample);
-    float* col = &col_cache[static_cast<std::size_t>(b) * d.kdim * d.pdim];
-    im2col(&in[static_cast<std::size_t>(b) * d.cin * d.h * d.w], d.cin, d.h, d.w, d.kh, d.kw,
-           spec, d.ho, d.wo, col);
-    gemm_s8(pa, d.pdim, col, d.pdim, &ov[static_cast<std::size_t>(b) * d.cout * d.pdim], d.pdim,
-            /*accumulate=*/false, epi);
-  });
-  return out;
+Tensor conv2d_infer(const Tensor& input, const Tensor& weight, const Tensor& bias,
+                    const Conv2dSpec& spec, ComputeKernel kernel, bool fuse_relu,
+                    const std::uint8_t* channel_active) {
+  return conv2d_forward_impl(input, weight, bias, spec, nullptr, kernel, fuse_relu,
+                             channel_active);
 }
 
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor& bias,
                       const Conv2dSpec& spec) {
-  std::vector<float> scratch;
-  return conv2d_forward_cached(input, weight, bias, spec, scratch);
+  return conv2d_infer(input, weight, bias, spec);
 }
 
 namespace {
+
+// sums[r] = Σ_p g[r, p], each row summed left to right from 0.0f. Eight rows
+// advance together so eight independent add chains overlap instead of one
+// chain waiting on every add; each row keeps its own order, so every sum is
+// bit-identical to the one-row-at-a-time loop.
+void channel_row_sums(const float* g, int rows, int cols, float* sums) {
+  constexpr int kLanes = 8;
+  int r = 0;
+  for (; r + kLanes <= rows; r += kLanes) {
+    const float* base = g + static_cast<std::size_t>(r) * cols;
+    float acc[kLanes] = {};
+    for (int p = 0; p < cols; ++p) {
+#pragma GCC unroll 8
+      for (int l = 0; l < kLanes; ++l) acc[l] += base[static_cast<std::size_t>(l) * cols + p];
+    }
+    for (int l = 0; l < kLanes; ++l) sums[r + l] = acc[l];
+  }
+  for (; r < rows; ++r) {
+    const float* row = g + static_cast<std::size_t>(r) * cols;
+    float acc = 0.0f;
+    for (int p = 0; p < cols; ++p) acc += row[p];
+    sums[r] = acc;
+  }
+}
 
 Conv2dGrads conv2d_backward_impl(const Tensor& input, const Tensor& weight,
                                  const Tensor& grad_output, const Conv2dSpec& spec,
@@ -254,17 +274,13 @@ Conv2dGrads conv2d_backward_impl(const Tensor& input, const Tensor& weight,
     float* gwp = &gw_partial[static_cast<std::size_t>(b) * wslot];
     float* gbp = &gb_partial[static_cast<std::size_t>(b) * d.cout];
 
+    channel_row_sums(gsample, d.cout, d.pdim, gbp);
     for (int oc = 0; oc < d.cout; ++oc) {
       if (channel_active != nullptr && channel_active[oc] == 0) {
         // Pruned channel: exact-zero gradient rows, skipped in the GEMMs.
         gbp[oc] = 0.0f;
         std::fill_n(gwp + static_cast<std::size_t>(oc) * d.kdim, d.kdim, 0.0f);
-        continue;
       }
-      const float* grow = gsample + static_cast<std::size_t>(oc) * d.pdim;
-      float gbacc = 0.0f;
-      for (int p = 0; p < d.pdim; ++p) gbacc += grow[p];
-      gbp[oc] = gbacc;
     }
     // gw[oc, k] = Σ_p grad[oc, p] · col[k, p]  (B read transposed).
     gemm(false, true, d.cout, d.kdim, d.pdim, gsample, d.pdim, col, d.pdim, gwp, d.kdim,
@@ -329,8 +345,10 @@ namespace {
 // One output row of a 2×2/stride-2 pool over input rows r0, r1 (base = flat
 // index of r0[0]). Each step takes its element only when it is strictly
 // greater than the best so far, so the first maximum wins ties. A window
-// where nothing beats -inf (all NaN or all -inf) keeps k = 0 and outputs its
-// first element. Selects instead of branches let GCC vectorize the loop.
+// where nothing beats -inf (all NaN or all -inf) outputs its first element.
+// Selects instead of branches let GCC vectorize the loop. Without argmax
+// (inference) the same chain runs and only the winner's position is dropped.
+template <bool kArgmax>
 void maxpool_2x2_row(const float* __restrict r0, const float* __restrict r1, int wo,
                      std::int64_t base, std::int64_t w, float* __restrict out,
                      std::int64_t* __restrict argmax) {
@@ -344,13 +362,18 @@ void maxpool_2x2_row(const float* __restrict r0, const float* __restrict r1, int
     best = tc ? c : best;
     const bool td = d > best;
     best = td ? d : best;
-    const std::int32_t k = td ? 3 : (tc ? 2 : (tb ? 1 : 0));
-    out[ox] = k == 0 ? a : best;
-    argmax[ox] = base + 2 * ox + (k & 1) + (k >> 1) * w;
+    if constexpr (kArgmax) {
+      const std::int32_t k = td ? 3 : (tc ? 2 : (tb ? 1 : 0));
+      out[ox] = k == 0 ? a : best;
+      argmax[ox] = base + 2 * ox + (k & 1) + (k >> 1) * w;
+    } else {
+      out[ox] = (tb | tc | td) ? best : a;
+    }
   }
 }
 
 // Any kernel/stride, one [h, w] plane; same tie and NaN rules as above.
+template <bool kArgmax>
 void maxpool_plane(const float* plane, std::int64_t base, int w, int kernel, int stride,
                    int ho, int wo, float* out, std::int64_t* argmax) {
   for (int oy = 0; oy < ho; ++oy) {
@@ -373,15 +396,16 @@ void maxpool_plane(const float* plane, std::int64_t base, int w, int kernel, int
         best = win[0];
       }
       *out++ = best;
-      *argmax++ = base + start + arg;
+      if constexpr (kArgmax) *argmax++ = base + start + arg;
     }
   }
 }
 
-}  // namespace
-
-Tensor maxpool2d_forward(const Tensor& input, int kernel, int stride,
-                         std::vector<std::int64_t>& argmax) {
+// Shared pool driver; with kArgmax, `argmax` is resized to one flat input
+// index per output element.
+template <bool kArgmax>
+Tensor maxpool2d_impl(const Tensor& input, int kernel, int stride,
+                      std::vector<std::int64_t>* argmax) {
   FC_REQUIRE(input.shape().rank() == 4, "maxpool input must be [N,C,H,W]");
   FC_REQUIRE(kernel > 0 && stride > 0, "maxpool kernel/stride must be positive");
   const int n = input.shape()[0], c = input.shape()[1], h = input.shape()[2],
@@ -391,10 +415,13 @@ Tensor maxpool2d_forward(const Tensor& input, int kernel, int stride,
   FC_REQUIRE(ho > 0 && wo > 0, "maxpool output would be empty");
 
   Tensor output(Shape{n, c, ho, wo});
-  argmax.resize(output.size());
+  std::int64_t* am = nullptr;
+  if constexpr (kArgmax) {
+    argmax->resize(output.size());
+    am = argmax->data();
+  }
   const float* in = input.data().data();
   float* out = output.data().data();
-  std::int64_t* am = argmax.data();
   const std::size_t in_plane = static_cast<std::size_t>(h) * w;
   const std::size_t out_plane = static_cast<std::size_t>(ho) * wo;
 
@@ -405,20 +432,31 @@ Tensor maxpool2d_forward(const Tensor& input, int kernel, int stride,
       const float* ip = in + p * in_plane;
       const auto base = static_cast<std::int64_t>(p * in_plane);
       float* op = out + p * out_plane;
-      std::int64_t* ap = am + p * out_plane;
+      std::int64_t* ap = kArgmax ? am + p * out_plane : nullptr;
       if (kernel == 2 && stride == 2) {
         for (int oy = 0; oy < ho; ++oy) {
           const std::size_t r = static_cast<std::size_t>(2 * oy) * w;
-          maxpool_2x2_row(ip + r, ip + r + w, wo, base + static_cast<std::int64_t>(r), w,
-                          op + static_cast<std::size_t>(oy) * wo,
-                          ap + static_cast<std::size_t>(oy) * wo);
+          const std::size_t o = static_cast<std::size_t>(oy) * wo;
+          maxpool_2x2_row<kArgmax>(ip + r, ip + r + w, wo, base + static_cast<std::int64_t>(r),
+                                   w, op + o, kArgmax ? ap + o : nullptr);
         }
       } else {
-        maxpool_plane(ip, base, w, kernel, stride, ho, wo, op, ap);
+        maxpool_plane<kArgmax>(ip, base, w, kernel, stride, ho, wo, op, ap);
       }
     }
   });
   return output;
+}
+
+}  // namespace
+
+Tensor maxpool2d_forward(const Tensor& input, int kernel, int stride,
+                         std::vector<std::int64_t>& argmax) {
+  return maxpool2d_impl<true>(input, kernel, stride, &argmax);
+}
+
+Tensor maxpool2d_infer(const Tensor& input, int kernel, int stride) {
+  return maxpool2d_impl<false>(input, kernel, stride, nullptr);
 }
 
 Tensor maxpool2d_backward(const Shape& input_shape, const std::vector<std::int64_t>& argmax,

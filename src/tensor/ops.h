@@ -59,17 +59,18 @@ Tensor conv2d_forward_cached(const Tensor& input, const Tensor& weight, const Te
                              const Conv2dSpec& spec, std::vector<float>& col_cache,
                              const std::uint8_t* channel_active = nullptr,
                              bool fuse_relu = false);
-// Reduced-precision conv forward for activation-profiling scans: kF32
-// delegates to conv2d_forward_cached; kInt8 runs the int8 GEMM (weights
-// packed once per call, activations quantized inside the pack).
-// Pruned channels need no mask support here — set_unit_active zeroes their
-// weights and bias, so they quantize to zero rows and stay exact zeros.
-// Falls back to fp32 when the spatial extent exceeds the int8 kernel's
-// single-pass column limit (kGemmNC).
-Tensor conv2d_forward_quant(const Tensor& input, const Tensor& weight, const Tensor& bias,
-                            const Conv2dSpec& spec, std::vector<float>& col_cache,
-                            ComputeKernel kernel, bool fuse_relu = false,
-                            const std::uint8_t* channel_active = nullptr);
+// Inference conv forward: the same output as conv2d_forward_cached, bit for
+// bit, but no column cache — each sample unfolds into scratch taken from its
+// executing thread's Workspace and released before the next sample. `kernel`
+// picks the GEMM: kInt8 (the activation-profiling scans) packs the weights
+// once per call and quantizes activations inside the pack; pruned channels
+// need no mask there, because set_unit_active zeroes their weights and bias,
+// so they quantize to zero rows and stay exact zeros. kInt8 falls back to
+// fp32 when the spatial extent exceeds the int8 kernel's single-pass column
+// limit (kGemmNC).
+Tensor conv2d_infer(const Tensor& input, const Tensor& weight, const Tensor& bias,
+                    const Conv2dSpec& spec, ComputeKernel kernel = ComputeKernel::kF32,
+                    bool fuse_relu = false, const std::uint8_t* channel_active = nullptr);
 // want_grad_input = false computes grad_weight/grad_bias only (bit-identical
 // to the full call) and leaves grad_input empty: no gcol GEMM, no col2im.
 Conv2dGrads conv2d_backward_cached(const Tensor& input, const Tensor& weight,
@@ -86,6 +87,8 @@ Conv2dGrads conv2d_backward_cached(const Tensor& input, const Tensor& weight,
 // input index. 2×2 windows at stride 2 run a vectorized path.
 Tensor maxpool2d_forward(const Tensor& input, int kernel, int stride,
                          std::vector<std::int64_t>& argmax);
+// The same output with no argmax, for forwards that never run backward.
+Tensor maxpool2d_infer(const Tensor& input, int kernel, int stride);
 Tensor maxpool2d_backward(const Shape& input_shape, const std::vector<std::int64_t>& argmax,
                           const Tensor& grad_output);
 

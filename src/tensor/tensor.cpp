@@ -86,11 +86,15 @@ float Tensor::at(int i, int j, int k, int l) const {
   return const_cast<Tensor*>(this)->at(i, j, k, l);
 }
 
-Tensor Tensor::reshaped(Shape new_shape) const {
+Tensor Tensor::reshaped(Shape new_shape) const& {
+  return Tensor(*this).reshaped(std::move(new_shape));
+}
+
+Tensor Tensor::reshaped(Shape new_shape) && {
   FC_REQUIRE(new_shape.numel() == shape_.numel(),
              "reshape " + shape_.to_string() + " -> " + new_shape.to_string() +
                  " changes element count");
-  return Tensor(std::move(new_shape), data_);
+  return Tensor(std::move(new_shape), std::move(data_));
 }
 
 void Tensor::check_same_shape(const Tensor& other, const char* op) const {

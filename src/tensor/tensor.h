@@ -79,8 +79,10 @@ class Tensor {
   float& at(int i, int j, int k, int l);
   float at(int i, int j, int k, int l) const;
 
-  // Reinterpret with a new shape of identical numel.
-  Tensor reshaped(Shape new_shape) const;
+  // Reinterpret with a new shape of identical numel. The rvalue overload
+  // moves the storage instead of copying it.
+  Tensor reshaped(Shape new_shape) const&;
+  Tensor reshaped(Shape new_shape) &&;
 
   // Elementwise in-place arithmetic (shape-checked).
   Tensor& operator+=(const Tensor& other);

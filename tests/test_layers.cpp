@@ -328,7 +328,7 @@ TEST(FusedModel, TapOnFusedReluMatchesUnfused) {
   auto ref = fused.clone();
   auto x = tensor::Tensor::rand_uniform(tensor::Shape{2, 1, 20, 20}, rng, 0.0f, 1.0f);
   tensor::Tensor tap_fused;
-  fused.net.forward_with_tap(x, fused.tap_index, tap_fused);
+  fused.net.infer(x, fused.tap_index, &tap_fused);
   tensor::Tensor cur = x;
   tensor::Tensor tap_ref;
   for (int i = 0; i < ref.net.size(); ++i) {
@@ -343,8 +343,8 @@ TEST(FusedModel, QuantizedScanStaysCloseToF32) {
   auto model = make_small_nn(rng);
   auto x = tensor::Tensor::rand_uniform(tensor::Shape{4, 1, 20, 20}, rng, 0.0f, 1.0f);
   tensor::Tensor tap_f32, tap_i8;
-  model.net.forward_with_tap(x, model.tap_index, tap_f32);
-  model.net.forward_with_tap(x, model.tap_index, tap_i8, tensor::ComputeKernel::kInt8);
+  model.net.infer(x, model.tap_index, &tap_f32);
+  model.net.infer(x, model.tap_index, &tap_i8, tensor::ComputeKernel::kInt8);
   ASSERT_EQ(tap_i8.shape(), tap_f32.shape());
   float ref_max = 0.0f;
   for (float v : tap_f32.storage()) ref_max = std::max(ref_max, std::fabs(v));

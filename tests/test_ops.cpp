@@ -366,6 +366,30 @@ TEST(MaxPool, SweepMatchesReferenceBitwise) {
   }
 }
 
+// The argmax-free inference pool gives the reference maxima bit for bit on
+// the same sweep, ties, NaN and -inf windows included.
+TEST(MaxPool, InferMatchesReferenceBitwise) {
+  for (const int kernel : {2, 3}) {
+    for (const int stride : {1, 2, 3}) {
+      for (const auto& [h, w] : {std::pair{8, 6}, std::pair{7, 9}, std::pair{5, 5},
+                                 std::pair{11, 3}}) {
+        if (h < kernel || w < kernel) continue;
+        const Tensor x = pool_input(2, 3, h, w, 200 + kernel * 10 + stride);
+        std::vector<float> want;
+        std::vector<std::int64_t> want_arg;
+        maxpool_reference(x, kernel, stride, want, want_arg);
+        const Tensor out = maxpool2d_infer(x, kernel, stride);
+        const std::string where = "k=" + std::to_string(kernel) + " s=" +
+                                  std::to_string(stride) + " " + std::to_string(h) + "x" +
+                                  std::to_string(w);
+        ASSERT_EQ(out.size(), want.size()) << where;
+        EXPECT_EQ(std::memcmp(out.data().data(), want.data(), want.size() * sizeof(float)), 0)
+            << where;
+      }
+    }
+  }
+}
+
 // The argmax buffer is rewritten, not appended to, when a caller reuses it
 // across calls of different sizes.
 TEST(MaxPool, ReusedArgmaxBufferIsRewritten) {
@@ -496,5 +520,50 @@ TEST(Im2colCache, ParamOnlyBackwardMatchesFullBackward) {
     EXPECT_EQ(params.grad_bias.storage(), full.grad_bias.storage());
     EXPECT_EQ(params.grad_input.size(), 0u);
     EXPECT_EQ(full.grad_input.shape(), x.shape());
+  }
+}
+
+// The bias gradient sums eight channels' rows as interleaved chains; each
+// channel keeps its own left-to-right order, so the result equals the
+// one-channel-at-a-time loop bit for bit — on a ragged tail (cout not a
+// multiple of 8) and with pruned channels, which get exact zeros.
+TEST(Im2colCache, BiasGradMatchesPerChannelLoopBitwise) {
+  Rng rng(13);
+  for (const int cout : {5, 8, 13, 19}) {
+    Tensor x = Tensor::randn(Shape{3, 2, 7, 7}, rng);
+    Tensor w = Tensor::randn(Shape{cout, 2, 3, 3}, rng, 0.0f, 0.4f);
+    Tensor b = Tensor::randn(Shape{cout}, rng);
+    const Conv2dSpec spec{1, 1};
+    std::vector<std::uint8_t> active(static_cast<std::size_t>(cout), 1);
+    for (int oc = 1; oc < cout; oc += 3) active[static_cast<std::size_t>(oc)] = 0;
+    for (const std::uint8_t* mask : {static_cast<const std::uint8_t*>(nullptr),
+                                     static_cast<const std::uint8_t*>(active.data())}) {
+      std::vector<float> cache;
+      auto y = conv2d_forward_cached(x, w, b, spec, cache, mask);
+      // Magnitudes spread over four decades, so any change of summation
+      // order shows in the low bits.
+      Tensor gy = Tensor::randn(y.shape(), rng);
+      for (std::size_t i = 0; i < gy.size(); ++i) gy[i] *= std::pow(10.0f, float(i % 4));
+      const auto grads = conv2d_backward_cached(x, w, gy, spec, cache, mask);
+
+      const int n = y.shape()[0], plane = y.shape()[2] * y.shape()[3];
+      std::vector<float> want(static_cast<std::size_t>(cout), 0.0f);
+      for (int oc = 0; oc < cout; ++oc) {
+        if (mask != nullptr && mask[oc] == 0) continue;
+        for (int s = 0; s < n; ++s) {
+          const float* g = gy.data().data() + (static_cast<std::size_t>(s) * cout + oc) * plane;
+          float sum = 0.0f;
+          for (int p = 0; p < plane; ++p) sum += g[p];
+          want[static_cast<std::size_t>(oc)] += sum;
+        }
+      }
+      const std::string where =
+          "cout=" + std::to_string(cout) + (mask != nullptr ? " pruned" : "");
+      ASSERT_EQ(grads.grad_bias.size(), want.size()) << where;
+      EXPECT_EQ(std::memcmp(grads.grad_bias.data().data(), want.data(),
+                            want.size() * sizeof(float)),
+                0)
+          << where;
+    }
   }
 }

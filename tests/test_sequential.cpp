@@ -85,7 +85,7 @@ TEST(Sequential, ForwardWithTapCapturesIntermediate) {
   auto spec = make_spec(rng);
   auto x = tensor::Tensor::rand_uniform(tensor::Shape{2, 1, 20, 20}, rng, 0.0f, 1.0f);
   tensor::Tensor tapped;
-  auto out = spec.net.forward_with_tap(x, spec.tap_index, tapped);
+  auto out = spec.net.infer(x, spec.tap_index, &tapped);
   EXPECT_EQ(out.shape()[0], 2);
   ASSERT_EQ(tapped.shape().rank(), 4);
   EXPECT_EQ(tapped.shape()[1], spec.net.layer(spec.last_conv_index).prunable_units());
@@ -98,7 +98,7 @@ TEST(Sequential, TapIndexValidated) {
   auto spec = make_spec(rng);
   auto x = tensor::Tensor::rand_uniform(tensor::Shape{1, 1, 20, 20}, rng, 0.0f, 1.0f);
   tensor::Tensor tapped;
-  EXPECT_THROW(spec.net.forward_with_tap(x, 99, tapped), Error);
+  EXPECT_THROW(spec.net.infer(x, 99, &tapped), Error);
 }
 
 TEST(Sequential, ZeroGradClearsAll) {

@@ -200,6 +200,30 @@ TEST(Client, MasksPropagateThroughMessages) {
   }
 }
 
+// A server fan-out stamps one message and copies it to every recipient:
+// each copy carries the same checksum, and it verifies against the payload.
+TEST(Server, FanOutCopiesCarryOneValidChecksum) {
+  Simulation sim(testutil::tiny_sim_config());
+  auto& server = sim.server();
+  const auto clients = sim.all_client_ids();
+  server.broadcast_model(clients, 3);
+  server.request_votes(clients, 0.5, 4);
+  for (const auto& [type, round] : {std::pair{comm::MessageType::kModelBroadcast, 3u},
+                                   std::pair{comm::MessageType::kVoteRequest, 4u}}) {
+    std::optional<std::uint64_t> first;
+    for (int c : clients) {
+      auto msg = sim.network().client_try_recv(c);
+      ASSERT_TRUE(msg.has_value()) << "client " << c;
+      EXPECT_EQ(msg->type, type);
+      EXPECT_EQ(msg->round, round);
+      EXPECT_TRUE(msg->checksum_ok()) << "client " << c;
+      EXPECT_EQ(msg->checksum, comm::payload_checksum(msg->payload));
+      if (!first) first = msg->checksum;
+      EXPECT_EQ(msg->checksum, *first) << "client " << c;
+    }
+  }
+}
+
 TEST(ServerAggregators, RobustRuleCanBeConfigured) {
   auto cfg = testutil::tiny_sim_config();
   cfg.server.aggregator = AggregatorKind::kMedian;
